@@ -55,15 +55,70 @@ struct SynthFragment {
     verify::Outcome verify = verify::Outcome::not_checked;
 };
 
-/// Per-block pulse outcome: zero jobs (identity), one job (the block pulse),
-/// or several (the gate-by-gate fallback rung).
-struct PulseFragment {
-    bool visited = false;
-    std::vector<PulseJob> jobs;
-    util::BlockStatus status{util::Stage::pulse, util::Cause::none, false, {}};
-    verify::Outcome verify = verify::Outcome::not_checked;
-    double audit_err = 0.0; ///< per-fragment contribution to the error budget
+/// Folds the exception being handled into `st`: the one classification
+/// every stage guard and ladder rung shares. An injected fault always names
+/// itself; any other failure keeps an earlier cause and detail (the first
+/// cause wins); either way the unit has taken its fallback. Call only from
+/// inside a catch handler.
+void absorb_exception(util::BlockStatus& st, util::Tracer& tracer) {
+    try {
+        throw;
+    } catch (const util::fault::InjectedFault& e) {
+        st.cause = util::Cause::injected;
+        if (st.detail.empty()) st.detail = e.what();
+        tracer.add_counter("robust.injected_faults");
+    } catch (const std::exception& e) {
+        if (st.ok()) st.cause = util::Cause::exception;
+        if (st.detail.empty()) st.detail = e.what();
+    } catch (...) {
+        if (st.ok()) st.cause = util::Cause::exception;
+        if (st.detail.empty()) st.detail = "unknown exception";
+    }
+    st.fallback_taken = true;
+}
+
+/// Records a whole-stage degradation (ZX, partition, regroup, schedule) as
+/// that stage's one report.
+void report_stage(EpocResult& res, util::BlockStatus st,
+                  verify::Outcome vo = verify::Outcome::not_checked) {
+    const util::Stage stage = st.stage;
+    res.block_reports.push_back({stage, 0, util::stage_name(stage), std::move(st), vo});
+    res.degraded = true;
+}
+
+/// report_stage() for a whole stage that threw (call only from inside a
+/// catch handler).
+void report_stage_exception(EpocResult& res, util::Stage stage, util::Tracer& tracer) {
+    util::BlockStatus st{stage, util::Cause::none, false, {}};
+    absorb_exception(st, tracer);
+    report_stage(res, std::move(st));
+}
+
+/// Partition and regroup options for one compile. Topology-aware mode
+/// partitions and regroups over the backend's coupling map (every block a
+/// connected subgraph, bridging gates routed/rejected per the configured
+/// policy).
+struct BlockOptions {
+    partition::PartitionOptions partition;
+    RegroupOptions regroup;
 };
+
+BlockOptions block_options(const EpocOptions& opt, const backend::Backend* be) {
+    BlockOptions bo{opt.partition, opt.regroup_opt};
+    if (be != nullptr) {
+        bo.partition.coupling = &be->coupling;
+        bo.regroup.coupling = &be->coupling;
+        bo.regroup.bridge_policy = bo.partition.bridge_policy;
+    }
+    return bo;
+}
+
+/// A block-local gate re-addressed to the block's global qubit ids.
+Gate global_gate(const Gate& g, const partition::CircuitBlock& blk) {
+    Gate out = g;
+    for (int& q : out.qubits) q = blk.qubits.at(static_cast<std::size_t>(q));
+    return out;
+}
 
 /// Worst-outcome-wins fold for fragments auditing several pulses (the
 /// gate-by-gate rung): failed > unverified > passed > not_checked.
@@ -123,6 +178,16 @@ util::BlockStatus validate_input(const Circuit& c) {
 }
 
 } // namespace
+
+/// Per-unit pulse outcome: zero jobs (identity), one job (the unit's pulse),
+/// or several (a block's gate-by-gate fallback rung).
+struct EpocCompiler::PulseFragment {
+    bool visited = false;
+    std::vector<PulseJob> jobs;
+    util::BlockStatus status{util::Stage::pulse, util::Cause::none, false, {}};
+    verify::Outcome verify = verify::Outcome::not_checked;
+    double audit_err = 0.0; ///< per-unit contribution to the error budget
+};
 
 EpocCompiler::EpocCompiler(EpocOptions opt)
     : opt_(std::move(opt)),
@@ -507,27 +572,10 @@ Circuit EpocCompiler::synthesize_blocks(const std::vector<partition::CircuitBloc
                 frag.status.fallback_taken = true;
                 frag.status.detail = "synthesis audit failed after recompute";
                 tracer_.add_counter("robust.synth_fallbacks");
-            } catch (const util::fault::InjectedFault& e) {
-                frag.skip = false;
-                frag.use_original = true;
-                frag.status.cause = util::Cause::injected;
-                frag.status.fallback_taken = true;
-                frag.status.detail = e.what();
-                tracer_.add_counter("robust.injected_faults");
-                tracer_.add_counter("robust.synth_fallbacks");
-            } catch (const std::exception& e) {
-                frag.skip = false;
-                frag.use_original = true;
-                frag.status.cause = util::Cause::exception;
-                frag.status.fallback_taken = true;
-                frag.status.detail = e.what();
-                tracer_.add_counter("robust.synth_fallbacks");
             } catch (...) {
                 frag.skip = false;
                 frag.use_original = true;
-                frag.status.cause = util::Cause::exception;
-                frag.status.fallback_taken = true;
-                frag.status.detail = "unknown exception";
+                absorb_exception(frag.status, tracer_);
                 tracer_.add_counter("robust.synth_fallbacks");
             }
         },
@@ -559,393 +607,254 @@ Circuit EpocCompiler::synthesize_blocks(const std::vector<partition::CircuitBloc
     return flat;
 }
 
-std::vector<PulseJob> EpocCompiler::gate_fallback_jobs(
-    const partition::CircuitBlock& blk, const qoc::LatencySearchOptions& lopt,
-    util::BlockStatus& status, verify::Outcome& outcome, double& audit_err,
-    const backend::Backend* be) {
-    std::vector<PulseJob> out;
-    for (const Gate& g : blk.body.gates()) {
-        // Block bodies are local-indexed; map back to global qubit ids.
-        std::vector<int> gq;
-        gq.reserve(g.qubits.size());
-        for (const int q : g.qubits) gq.push_back(blk.qubits.at(static_cast<std::size_t>(q)));
-        if (is_identity_unitary(g.unitary())) continue;
-        Gate gg = g;
-        gg.qubits = gq;
-        try {
-            util::fault::maybe_throw("pulse.gate");
-            const PulseTarget pt = gate_pulse_target(be, gg);
-            const qoc::BlockHamiltonian& h = block_hamiltonian(be, pt.qubits);
-            std::shared_ptr<const qoc::LatencyResult> lr =
-                library_.get_or_generate(h, pt.target, lopt);
-            if (!lr->feasible) {
-                // Bottom of the ladder for real pulse data: ship the
-                // best-so-far (below-threshold) pulse, flagged.
-                if (status.cause == util::Cause::none)
-                    status.cause = util::Cause::infeasible;
-                status.fallback_taken = true;
-                tracer_.add_counter("qoc.infeasible_blocks");
-            }
-            const AuditedPulse audited =
-                audit_pulse_result(std::move(lr), h, pt.target, lopt, status);
-            outcome = combine(outcome, audited.outcome);
-            audit_err += audited.audit_err;
-            double f = audited.result->pulse.fidelity;
-            if (!audited.resolved) {
-                // No finer rung below a single gate: ship the re-simulated
-                // fidelity in place of the untrustworthy recorded one.
-                f = audited.fidelity;
-                tracer_.add_counter("robust.untrusted_fidelity_shipped");
-            }
-            out.push_back(PulseJob{pt.qubits, audited.result->pulse.duration(), f, ""});
-        } catch (const std::exception& e) {
-            // Rung 3: a placeholder pulse with worst-case duration and zero
-            // fidelity — structurally schedulable, and impossible to mistake
-            // for a good pulse.
-            const double dt = be != nullptr ? be->base.dt : hamiltonian(g.arity()).dt;
-            out.push_back(PulseJob{
-                gq, dt * static_cast<double>(std::max(1, lopt.max_slots)), 0.0, ""});
-            if (dynamic_cast<const util::fault::InjectedFault*>(&e) != nullptr) {
-                status.cause = util::Cause::injected;
-                tracer_.add_counter("robust.injected_faults");
-            } else if (status.cause == util::Cause::none) {
-                status.cause = util::Cause::exception;
-            }
-            status.fallback_taken = true;
-            if (status.detail.empty()) status.detail = e.what();
-            tracer_.add_counter("robust.placeholder_pulses");
-        }
-    }
-    return out;
+PulseJob EpocCompiler::placeholder_job(const Gate& g, const backend::Backend* be) const {
+    const double dt = be != nullptr ? be->base.dt : opt_.device.dt;
+    return PulseJob{g.qubits, dt * static_cast<double>(std::max(1, opt_.latency.max_slots)),
+                    0.0, kind_name(g.kind)};
 }
 
-/// Generate one pulse per non-identity block, in parallel, preserving block
-/// order in the returned job list. `coarse_granularity` applies the wide-block
-/// slot coarsening used by the regrouped arm. Blocks whose pulse is
-/// infeasible, degraded, or errored fall back to gate-by-gate pulses.
-/// `warm` (plan path only) seeds GRAPE from — and deposits amplitudes back
-/// into — the plan's per-block-index warm slots.
-std::vector<PulseJob> EpocCompiler::pulse_jobs_for_blocks(
-    const std::vector<partition::CircuitBlock>& blocks, bool coarse_granularity,
-    const util::Deadline& deadline, EpocResult& res, double& audit_err,
-    const WarmSlots* warm, const backend::Backend* be) {
-    // Warm the Hamiltonian cache sequentially so the parallel loop only ever
-    // takes the short lookup lock. Best-effort: a block whose Hamiltonian
-    // construction fails hits the same error inside the parallel loop, where
-    // the degradation ladder handles it.
-    for (const partition::CircuitBlock& blk : blocks) {
-        try {
-            block_hamiltonian(be, blk.qubits);
-        } catch (...) {
-        }
+void EpocCompiler::pulse_unit(const PulseUnit& unit, std::size_t index, const WarmSlots* warm,
+                              const util::Deadline& deadline, PulseFragment& frag,
+                              const backend::Backend* be) {
+    const partition::CircuitBlock* blk = unit.block;
+    qoc::LatencySearchOptions lopt = opt_.latency;
+    lopt.deadline = &deadline;
+    lopt.grape.deadline = &deadline;
+    if (blk != nullptr) {
+        // Coarser duration resolution for big blocks keeps the GRAPE
+        // budget bounded (dim-16 propagators are ~8x dim-8 cost).
+        if (blk->qubits.size() >= 4)
+            lopt.slot_granularity = std::max(lopt.slot_granularity, 4);
+        else if (blk->qubits.size() == 3)
+            lopt.slot_granularity = std::max(lopt.slot_granularity, 2);
     }
+    // Ladder rung 2: regenerate the block gate by gate through this same
+    // routine (small targets are far more likely to meet the threshold / fit
+    // the budget). The gates fold into the block's status, outcome and budget.
+    const auto fall_back = [&] {
+        frag.status.fallback_taken = true;
+        tracer_.add_counter("robust.pulse_block_fallbacks");
+        for (const Gate& g : blk->body.gates()) {
+            const Gate gg = global_gate(g, *blk);
+            pulse_unit(PulseUnit{&gg, nullptr}, 0, nullptr, deadline, frag, be);
+        }
+    };
+    try {
+        PulseTarget pt;
+        if (blk != nullptr) {
+            const Matrix bu = partition::block_unitary(*blk);
+            if (is_identity_unitary(bu)) return;
+            util::fault::maybe_throw("pulse.block");
+            // Leakage-aware backends pulse toward the block unitary embedded
+            // on the computational subspace (identity on leakage states);
+            // otherwise the 2^n unitary directly.
+            pt.qubits = blk->qubits;
+            pt.target = (be != nullptr && be->levels > 2)
+                            ? backend::embed_in_levels(
+                                  bu, static_cast<int>(blk->qubits.size()), be->levels)
+                            : bu;
+        } else {
+            if (is_identity_unitary(unit.gate->unitary())) return;
+            util::fault::maybe_throw("pulse.gate");
+            pt = gate_pulse_target(be, *unit.gate);
+        }
+        const qoc::BlockHamiltonian& h = block_hamiltonian(be, pt.qubits);
+        qoc::LatencySearchOptions seeded = lopt;
+        if (warm != nullptr) {
+            // Plan path: seed a library miss's GRAPE run with the previous
+            // iterate's amplitudes for this unit. The library key excludes
+            // the seed, so hits are unaffected.
+            std::vector<std::vector<double>> seed = warm->get(index);
+            if (!seed.empty()) {
+                seeded.grape.warm_amplitudes = std::move(seed);
+                tracer_.add_counter("qoc.warm_starts");
+            }
+        }
+        std::shared_ptr<const qoc::LatencyResult> lr =
+            library_.get_or_generate(h, pt.target, seeded);
+        const bool usable = lr->feasible && lr->authoritative();
+        if (warm != nullptr && usable) warm->put(index, lr->pulse.amplitudes);
+        if (blk != nullptr && lopt.slot_granularity > opt_.latency.slot_granularity) {
+            // Regression guards for the cache-key collision: the coarse
+            // arm's pulses must actually carry coarsened slot counts, even
+            // when the fine-granularity arm requested the same unitary first.
+            tracer_.add_counter("qoc.coarse_blocks");
+            tracer_.add_counter("qoc.coarse_block_slots",
+                                static_cast<std::uint64_t>(lr->pulse.num_slots()));
+            if (lr->pulse.num_slots() % lopt.slot_granularity != 0)
+                tracer_.add_counter("qoc.coarse_granularity_violations");
+        }
+        // The first cause wins, so a gate on a block's fallback rung leaves
+        // the block's own cause standing.
+        if (!lr->feasible) {
+            if (frag.status.ok()) frag.status.cause = util::Cause::infeasible;
+            frag.status.fallback_taken = true;
+            tracer_.add_counter("qoc.infeasible_blocks");
+        } else if (!usable && frag.status.ok()) {
+            frag.status.cause = lr->injected    ? util::Cause::injected
+                                : lr->timed_out ? expiry_cause(deadline)
+                                                : util::Cause::nonfinite;
+        }
+        // An infeasible or degraded block pulse falls a rung. A single gate
+        // has no finer rung: it ships its best below-threshold pulse, flagged.
+        if (blk != nullptr && !usable) return fall_back();
+        // Audit (and any verify-triggered regenerate) under the un-seeded
+        // options: the cache key is identical either way, and a recompute
+        // must not re-run a possibly-bad seed.
+        const AuditedPulse audited =
+            audit_pulse_result(std::move(lr), h, pt.target, lopt, frag.status);
+        frag.verify = combine(frag.verify, audited.outcome);
+        // A block whose audit still failed after the recompute falls a rung;
+        // the rejected pulse is not shipped, so its audit error does not
+        // enter the budget.
+        if (blk != nullptr && !audited.resolved) return fall_back();
+        frag.audit_err += audited.audit_err;
+        double f = audited.result->pulse.fidelity;
+        if (!audited.resolved) {
+            // No finer rung below a single gate: ship the re-simulated
+            // fidelity in place of the untrustworthy recorded one.
+            f = audited.fidelity;
+            tracer_.add_counter("robust.untrusted_fidelity_shipped");
+        }
+        frag.jobs.push_back(PulseJob{pt.qubits, audited.result->pulse.duration(), f,
+                                     blk != nullptr ? "" : kind_name(unit.gate->kind)});
+    } catch (...) {
+        absorb_exception(frag.status, tracer_);
+        if (blk != nullptr) return fall_back();
+        frag.jobs.push_back(placeholder_job(*unit.gate, be));
+        tracer_.add_counter("robust.placeholder_pulses");
+    }
+}
 
-    qoc::LatencySearchOptions fine_opt = opt_.latency;
-    fine_opt.deadline = &deadline;
-    fine_opt.grape.deadline = &deadline;
-
-    std::vector<PulseFragment> fragments(blocks.size());
+std::vector<PulseJob> EpocCompiler::pulse_arm(const std::vector<PulseUnit>& units,
+                                              const WarmSlots* warm,
+                                              const util::Deadline& deadline, EpocResult& res,
+                                              double& audit_err, const backend::Backend* be) {
+    // "gate i (kind)" / "block i (nq)": the unit's span and report label.
+    const auto name = [&](std::size_t i) {
+        const PulseUnit& u = units[i];
+        return u.block != nullptr ? "block " + std::to_string(i) + " (" +
+                                        std::to_string(u.block->qubits.size()) + "q)"
+                                  : "gate " + std::to_string(i) + " (" +
+                                        kind_name(u.gate->kind) + ")";
+    };
+    std::vector<PulseFragment> frags(units.size());
     pool_.parallel_for(
-        blocks.size(),
+        units.size(),
         [&](std::size_t i) {
-            const partition::CircuitBlock& blk = blocks[i];
-            PulseFragment& frag = fragments[i];
-            frag.visited = true;
-            const util::Tracer::Span span = tracer_.span(
-                "pulse block " + std::to_string(i) + " (" +
-                    std::to_string(blk.qubits.size()) + "q)",
-                "qoc");
-            qoc::LatencySearchOptions lopt = fine_opt;
-            if (coarse_granularity) {
-                // Coarser duration resolution for big blocks keeps the GRAPE
-                // budget bounded (dim-16 propagators are ~8x dim-8 cost).
-                if (blk.qubits.size() >= 4)
-                    lopt.slot_granularity = std::max(lopt.slot_granularity, 4);
-                else if (blk.qubits.size() == 3)
-                    lopt.slot_granularity = std::max(lopt.slot_granularity, 2);
-            }
-            try {
-                const Matrix bu = partition::block_unitary(blk);
-                if (is_identity_unitary(bu)) return;
-                util::fault::maybe_throw("pulse.block");
-                // Leakage-aware backends pulse toward the block unitary
-                // embedded on the computational subspace (identity on
-                // leakage states); otherwise the 2^n unitary directly.
-                const Matrix u =
-                    (be != nullptr && be->levels > 2)
-                        ? backend::embed_in_levels(
-                              bu, static_cast<int>(blk.qubits.size()), be->levels)
-                        : bu;
-                const qoc::BlockHamiltonian& ham = block_hamiltonian(be, blk.qubits);
-                if (warm != nullptr) {
-                    // Seed a library miss's GRAPE run with the previous
-                    // iterate's amplitudes for this structural block. The
-                    // library key excludes the seed, so hits are unaffected.
-                    std::vector<std::vector<double>> seed = warm->get(i);
-                    if (!seed.empty()) {
-                        lopt.grape.warm_amplitudes = std::move(seed);
-                        tracer_.add_counter("qoc.warm_starts");
-                    }
-                }
-                const std::shared_ptr<const qoc::LatencyResult> lr =
-                    library_.get_or_generate(ham, u, lopt);
-                if (warm != nullptr && lr->feasible && lr->authoritative())
-                    warm->put(i, lr->pulse.amplitudes);
-                if (coarse_granularity &&
-                    lopt.slot_granularity > opt_.latency.slot_granularity) {
-                    // Regression guards for the cache-key collision: the coarse
-                    // arm's pulses must actually carry coarsened slot counts,
-                    // even when the fine-granularity arm requested the same
-                    // unitary first.
-                    tracer_.add_counter("qoc.coarse_blocks");
-                    tracer_.add_counter("qoc.coarse_block_slots",
-                                        static_cast<std::uint64_t>(lr->pulse.num_slots()));
-                    if (lr->pulse.num_slots() % lopt.slot_granularity != 0)
-                        tracer_.add_counter("qoc.coarse_granularity_violations");
-                }
-                if (lr->feasible && lr->authoritative()) {
-                    const AuditedPulse audited =
-                        audit_pulse_result(lr, ham, u, lopt, frag.status);
-                    frag.verify = audited.outcome;
-                    if (audited.resolved) {
-                        frag.audit_err = audited.audit_err;
-                        frag.jobs.push_back(PulseJob{blk.qubits,
-                                                     audited.result->pulse.duration(),
-                                                     audited.result->pulse.fidelity, ""});
-                        return;
-                    }
-                    // Audit still failed after the recompute: fall to the
-                    // gate-by-gate rung (the rejected block pulse is not
-                    // shipped, so its audit error does not enter the budget).
-                    tracer_.add_counter("robust.pulse_block_fallbacks");
-                    frag.jobs =
-                        gate_fallback_jobs(blk, fine_opt, frag.status, frag.verify,
-                                           frag.audit_err, be);
-                    return;
-                }
-                // Ladder rung 2: the block pulse is infeasible or degraded —
-                // regenerate this block gate by gate (small targets are far
-                // more likely to meet the threshold / fit the budget).
-                if (!lr->feasible) {
-                    frag.status.cause = util::Cause::infeasible;
-                    tracer_.add_counter("qoc.infeasible_blocks");
-                } else if (lr->injected) {
-                    frag.status.cause = util::Cause::injected;
-                } else if (lr->timed_out) {
-                    frag.status.cause = expiry_cause(deadline);
-                } else {
-                    frag.status.cause = util::Cause::nonfinite;
-                }
-                frag.status.fallback_taken = true;
-                tracer_.add_counter("robust.pulse_block_fallbacks");
-                frag.jobs = gate_fallback_jobs(blk, fine_opt, frag.status, frag.verify,
-                                               frag.audit_err, be);
-            } catch (const util::fault::InjectedFault& e) {
-                frag.status.cause = util::Cause::injected;
-                frag.status.fallback_taken = true;
-                frag.status.detail = e.what();
-                tracer_.add_counter("robust.injected_faults");
-                tracer_.add_counter("robust.pulse_block_fallbacks");
-                frag.jobs = gate_fallback_jobs(blk, fine_opt, frag.status, frag.verify,
-                                               frag.audit_err, be);
-            } catch (const std::exception& e) {
-                frag.status.cause = util::Cause::exception;
-                frag.status.fallback_taken = true;
-                frag.status.detail = e.what();
-                tracer_.add_counter("robust.pulse_block_fallbacks");
-                frag.jobs = gate_fallback_jobs(blk, fine_opt, frag.status, frag.verify,
-                                               frag.audit_err, be);
-            } catch (...) {
-                frag.status.cause = util::Cause::exception;
-                frag.status.fallback_taken = true;
-                frag.status.detail = "unknown exception";
-                tracer_.add_counter("robust.pulse_block_fallbacks");
-                frag.jobs = gate_fallback_jobs(blk, fine_opt, frag.status, frag.verify,
-                                               frag.audit_err, be);
-            }
+            frags[i].visited = true;
+            const util::Tracer::Span span = tracer_.span("pulse " + name(i), "qoc");
+            pulse_unit(units[i], i, warm, deadline, frags[i], be);
         },
         deadline.token());
 
     std::vector<PulseJob> jobs;
-    jobs.reserve(blocks.size());
+    jobs.reserve(units.size());
     std::size_t bi = 0; // running non-identity block ordinal (label scheme)
-    for (std::size_t i = 0; i < blocks.size(); ++i) {
-        PulseFragment& frag = fragments[i];
+    for (std::size_t i = 0; i < units.size(); ++i) {
+        const partition::CircuitBlock* blk = units[i].block;
+        PulseFragment& frag = frags[i];
         if (!frag.visited) {
-            // Cancelled before the block was claimed: placeholder pulses keep
+            // Cancelled before the unit was claimed: placeholder pulses keep
             // the schedule structurally complete without doing QOC work.
             frag.status.cause = util::Cause::cancelled;
             frag.status.fallback_taken = true;
-            frag.status.detail = "cancelled before the block ran";
-            for (const Gate& g : blocks[i].body.gates()) {
-                std::vector<int> gq;
-                gq.reserve(g.qubits.size());
-                for (const int q : g.qubits)
-                    gq.push_back(blocks[i].qubits.at(static_cast<std::size_t>(q)));
-                const double dt =
-                    be != nullptr ? be->base.dt : hamiltonian(g.arity()).dt;
-                frag.jobs.push_back(PulseJob{
-                    gq, dt * static_cast<double>(std::max(1, opt_.latency.max_slots)),
-                    0.0, ""});
-            }
-            tracer_.add_counter("robust.placeholder_pulses",
-                                static_cast<std::uint64_t>(frag.jobs.size()));
+            frag.status.detail = std::string("cancelled before the ") +
+                                 (blk != nullptr ? "block" : "gate") + " ran";
+            if (blk == nullptr) frag.jobs.push_back(placeholder_job(*units[i].gate, be));
+            else
+                for (const Gate& g : blk->body.gates())
+                    frag.jobs.push_back(placeholder_job(global_gate(g, *blk), be));
+            tracer_.add_counter("robust.placeholder_pulses", frag.jobs.size());
         }
-        res.block_reports.push_back(
-            {util::Stage::pulse, i,
-             std::string(coarse_granularity ? "grouped block " : "pulse block ") +
-                 std::to_string(i) + " (" + std::to_string(blocks[i].qubits.size()) + "q)",
-             frag.status, frag.verify});
+        res.block_reports.push_back({util::Stage::pulse, i,
+                                     blk != nullptr ? "grouped " + name(i) : name(i),
+                                     frag.status, frag.verify});
         if (!frag.status.ok()) res.degraded = true;
-        audit_err += frag.audit_err; // deterministic block-merge order
-        if (frag.jobs.empty()) continue;
-        const bool split = frag.jobs.size() > 1;
-        for (std::size_t j = 0; j < frag.jobs.size(); ++j) {
-            PulseJob job = std::move(frag.jobs[j]);
-            job.label = "block" + std::to_string(bi) +
-                        (split ? ".g" + std::to_string(j) : "");
-            jobs.push_back(std::move(job));
+        audit_err += frag.audit_err; // deterministic unit-merge order
+        if (blk != nullptr && !frag.jobs.empty()) {
+            const bool split = frag.jobs.size() > 1;
+            for (std::size_t j = 0; j < frag.jobs.size(); ++j)
+                frag.jobs[j].label = "block" + std::to_string(bi) +
+                                     (split ? ".g" + std::to_string(j) : "");
+            ++bi;
         }
-        ++bi;
+        for (PulseJob& job : frag.jobs) jobs.push_back(std::move(job));
     }
     return jobs;
 }
 
-std::vector<PulseJob> EpocCompiler::fine_pulse_jobs(const Circuit& current,
-                                                    const util::Deadline& deadline,
-                                                    EpocResult& res, double& audit_err,
-                                                    const WarmSlots* warm,
-                                                    const backend::Backend* be) {
-    qoc::LatencySearchOptions fine_opt = opt_.latency;
-    fine_opt.deadline = &deadline;
-    fine_opt.grape.deadline = &deadline;
+void EpocCompiler::pulse_stage(const Circuit& current, const GroupSource& groups,
+                               const CompilationPlan* plan, const util::Deadline& deadline,
+                               EpocResult& res, const backend::Backend* be) {
+    const auto t0 = std::chrono::steady_clock::now();
+    const bool warm = plan != nullptr && opt_.plan_warm_start;
+    const auto schedule = [&](const std::vector<PulseJob>& jobs) {
+        const util::Tracer::Span span = tracer_.span("schedule asap", "pipeline");
+        return schedule_asap(jobs, current.num_qubits());
+    };
 
-    // Warm the Hamiltonian cache sequentially (best-effort; see
-    // pulse_jobs_for_blocks).
-    for (const Gate& g : current.gates()) {
-        try {
-            block_hamiltonian(be, gate_pulse_target(be, g).qubits);
-        } catch (...) {
-        }
-    }
+    // The fine-grained arm (one pulse per gate) is always evaluated -- it is
+    // cheap thanks to the pulse library.
+    std::vector<PulseUnit> units;
+    units.reserve(current.size());
+    for (const Gate& g : current.gates()) units.push_back(PulseUnit{&g, nullptr});
+    double shipped_budget = 0.0; // audited |recorded - resim| sum, shipped arm
     util::Tracer::Span fine_span = tracer_.span("pulses fine-grained", "pipeline");
-    std::vector<PulseFragment> fine_frags(current.size());
-    pool_.parallel_for(
-        current.size(),
-        [&](std::size_t i) {
-            const Gate& g = current.gate(i);
-            PulseFragment& frag = fine_frags[i];
-            frag.visited = true;
-            const util::Tracer::Span span = tracer_.span(
-                "pulse gate " + std::to_string(i) + " (" + kind_name(g.kind) + ")",
-                "qoc");
-            try {
-                if (is_identity_unitary(g.unitary())) return;
-                util::fault::maybe_throw("pulse.gate");
-                const PulseTarget pt = gate_pulse_target(be, g);
-                const qoc::BlockHamiltonian& h = block_hamiltonian(be, pt.qubits);
-                qoc::LatencySearchOptions lopt = fine_opt;
-                if (warm != nullptr) {
-                    // Plan path: seed a library miss's GRAPE run with the
-                    // previous iterate's amplitudes for this gate slot. The
-                    // library key excludes the seed, so hits are unaffected.
-                    std::vector<std::vector<double>> seed = warm->get(i);
-                    if (!seed.empty()) {
-                        lopt.grape.warm_amplitudes = std::move(seed);
-                        tracer_.add_counter("qoc.warm_starts");
-                    }
-                }
-                std::shared_ptr<const qoc::LatencyResult> lr =
-                    library_.get_or_generate(h, pt.target, lopt);
-                if (warm != nullptr && lr->feasible && lr->authoritative())
-                    warm->put(i, lr->pulse.amplitudes);
-                if (!lr->feasible) {
-                    // A single gate has no finer rung: ship the best
-                    // below-threshold pulse, flagged.
-                    frag.status.cause = util::Cause::infeasible;
-                    frag.status.fallback_taken = true;
-                    tracer_.add_counter("qoc.infeasible_blocks");
-                } else if (!lr->authoritative()) {
-                    frag.status.cause = lr->injected ? util::Cause::injected
-                                        : lr->timed_out
-                                            ? expiry_cause(deadline)
-                                            : util::Cause::nonfinite;
-                }
-                // Audit (and any verify-triggered regenerate) under the
-                // un-seeded options: the cache key is identical either way,
-                // and a recompute must not re-run a possibly-bad seed.
-                const AuditedPulse audited =
-                    audit_pulse_result(std::move(lr), h, pt.target, fine_opt, frag.status);
-                frag.verify = audited.outcome;
-                frag.audit_err = audited.audit_err;
-                double f = audited.result->pulse.fidelity;
-                if (!audited.resolved) {
-                    // No finer rung below a single gate: ship with the
-                    // re-simulated fidelity instead of the recorded one.
-                    f = audited.fidelity;
-                    tracer_.add_counter("robust.untrusted_fidelity_shipped");
-                }
-                frag.jobs.push_back(PulseJob{pt.qubits,
-                                             audited.result->pulse.duration(), f,
-                                             kind_name(g.kind)});
-            } catch (const std::exception& e) {
-                const bool injected =
-                    dynamic_cast<const util::fault::InjectedFault*>(&e) != nullptr;
-                frag.status.cause =
-                    injected ? util::Cause::injected : util::Cause::exception;
-                frag.status.fallback_taken = true;
-                frag.status.detail = e.what();
-                const double dt =
-                    be != nullptr ? be->base.dt : hamiltonian(g.arity()).dt;
-                frag.jobs.push_back(PulseJob{
-                    g.qubits,
-                    dt * static_cast<double>(std::max(1, opt_.latency.max_slots)),
-                    0.0, kind_name(g.kind)});
-                if (injected) tracer_.add_counter("robust.injected_faults");
-                tracer_.add_counter("robust.placeholder_pulses");
-            }
-        },
-        deadline.token());
-    std::vector<PulseJob> fine_jobs;
-    fine_jobs.reserve(current.size());
-    for (std::size_t i = 0; i < current.size(); ++i) {
-        PulseFragment& frag = fine_frags[i];
-        if (!frag.visited) {
-            frag.status.cause = util::Cause::cancelled;
-            frag.status.fallback_taken = true;
-            frag.status.detail = "cancelled before the gate ran";
-            const Gate& g = current.gate(i);
-            const double dt = be != nullptr ? be->base.dt : hamiltonian(g.arity()).dt;
-            frag.jobs.push_back(PulseJob{
-                g.qubits,
-                dt * static_cast<double>(std::max(1, opt_.latency.max_slots)), 0.0,
-                kind_name(g.kind)});
-            tracer_.add_counter("robust.placeholder_pulses");
-        }
-        res.block_reports.push_back({util::Stage::pulse, i,
-                                     "gate " + std::to_string(i) + " (" +
-                                         kind_name(current.gate(i).kind) + ")",
-                                     frag.status, frag.verify});
-        if (!frag.status.ok()) res.degraded = true;
-        audit_err += frag.audit_err; // deterministic gate-merge order
-        for (PulseJob& job : frag.jobs) fine_jobs.push_back(std::move(job));
-    }
+    const std::vector<PulseJob> fine_jobs = pulse_arm(
+        units, warm ? &plan->fine_warm : nullptr, deadline, res, shipped_budget, be);
     fine_span.end();
-    return fine_jobs;
+    res.schedule = schedule(fine_jobs);
+
+    // With a grouped arm, its schedule is evaluated too and the shorter of
+    // the two wins: on wide, shallow circuits a wide block pulse can blockade
+    // qubit lines and lose to well-packed per-gate pulses.
+    if (groups && deadline.expired()) {
+        // No budget left for a second arm: ship the fine-grained one.
+        report_stage(res, {util::Stage::regroup, expiry_cause(deadline), true,
+                           "skipped: budget spent"});
+        tracer_.add_counter("robust.deadline_skips");
+    } else if (groups) {
+        try {
+            if (const std::optional<std::vector<partition::CircuitBlock>> blocks = groups()) {
+                units.clear();
+                for (const partition::CircuitBlock& blk : *blocks)
+                    units.push_back(PulseUnit{nullptr, &blk});
+                util::Tracer::Span grouped_span = tracer_.span("pulses grouped", "pipeline");
+                double grouped_budget = 0.0;
+                const std::vector<PulseJob> jobs = pulse_arm(
+                    units, warm ? &plan->group_warm : nullptr, deadline, res, grouped_budget, be);
+                grouped_span.end();
+                PulseSchedule grouped = schedule(jobs);
+                const bool grouped_wins = grouped.latency <= res.schedule.latency;
+                tracer_.add_counter(grouped_wins ? "pipeline.grouped_arm_wins"
+                                                 : "pipeline.fine_arm_wins");
+                if (grouped_wins) {
+                    res.schedule = std::move(grouped);
+                    shipped_budget = grouped_budget;
+                }
+            }
+        } catch (...) {
+            report_stage_exception(res, util::Stage::regroup, tracer_);
+            tracer_.add_counter("robust.regroup_fallbacks");
+        }
+    }
+    if (res.schedule.dropped_jobs > 0) {
+        // The shipped schedule refused jobs addressing out-of-register
+        // qubits (schedule_asap drops instead of throwing): report it as
+        // a §4e schedule-stage degradation so callers see the partial
+        // schedule for what it is.
+        report_stage(res, {util::Stage::schedule, util::Cause::invalid_input, true,
+                           res.schedule.drop_detail});
+        tracer_.add_counter("robust.dropped_jobs", res.schedule.dropped_jobs);
+    }
+    if (verifier_.enabled()) verifier_.set_error_budget(shipped_budget);
+    res.qoc_ms = ms_since(t0);
 }
 
 void EpocCompiler::cold_compile(const Circuit& c, const util::Deadline& deadline,
                                 EpocResult& res, const backend::Backend* be) {
-    // Topology-aware mode: partition and regroup over the backend's coupling
-    // map (every block a connected subgraph, bridging gates routed/rejected
-    // per the configured policy).
-    partition::PartitionOptions popt = opt_.partition;
-    RegroupOptions ropt = opt_.regroup_opt;
-    if (be != nullptr) {
-        popt.coupling = &be->coupling;
-        ropt.coupling = &be->coupling;
-        ropt.bridge_policy = popt.bridge_policy;
-    }
+    const BlockOptions bopt = block_options(opt_, be);
     // 1. Graph-based depth optimization. Failure or a spent budget keeps the
     // original circuit: ZX is a pure optimization.
     Circuit current = c;
@@ -953,10 +862,8 @@ void EpocCompiler::cold_compile(const Circuit& c, const util::Deadline& deadline
         const auto t0 = std::chrono::steady_clock::now();
         if (opt_.use_zx) {
             if (deadline.expired()) {
-                res.block_reports.push_back(
-                    {util::Stage::zx, 0, "zx",
-                     {util::Stage::zx, expiry_cause(deadline), true, "skipped: budget spent"}});
-                res.degraded = true;
+                report_stage(res, {util::Stage::zx, expiry_cause(deadline), true,
+                                   "skipped: budget spent"});
                 tracer_.add_counter("robust.deadline_skips");
             } else {
                 try {
@@ -970,27 +877,17 @@ void EpocCompiler::cold_compile(const Circuit& c, const util::Deadline& deadline
                     const verify::Outcome vo =
                         verifier_.check_circuit_equiv(c, zr.circuit, "zx");
                     if (vo == verify::Outcome::failed) {
-                        res.block_reports.push_back(
-                            {util::Stage::zx, 0, "zx",
-                             {util::Stage::zx, util::Cause::verify_failed, true,
-                              "zx equivalence audit failed; original circuit kept"},
-                             vo});
-                        res.degraded = true;
+                        report_stage(res,
+                                     {util::Stage::zx, util::Cause::verify_failed, true,
+                                      "zx equivalence audit failed; original circuit kept"},
+                                     vo);
                         tracer_.add_counter("robust.zx_fallbacks");
                     } else {
                         current = std::move(zr.circuit);
                     }
-                } catch (const std::exception& e) {
-                    const bool injected =
-                        dynamic_cast<const util::fault::InjectedFault*>(&e) != nullptr;
-                    res.block_reports.push_back(
-                        {util::Stage::zx, 0, "zx",
-                         {util::Stage::zx,
-                          injected ? util::Cause::injected : util::Cause::exception, true,
-                          e.what()}});
-                    res.degraded = true;
+                } catch (...) {
+                    report_stage_exception(res, util::Stage::zx, tracer_);
                     current = c;
-                    if (injected) tracer_.add_counter("robust.injected_faults");
                     tracer_.add_counter("robust.zx_fallbacks");
                 }
             }
@@ -1006,7 +903,7 @@ void EpocCompiler::cold_compile(const Circuit& c, const util::Deadline& deadline
             util::Tracer::Span part_span = tracer_.span("partition", "pipeline");
             util::fault::maybe_throw("partition.fail");
             const std::vector<partition::CircuitBlock> blocks =
-                partition::greedy_partition(current, popt);
+                partition::greedy_partition(current, bopt.partition);
             part_span.end();
             res.num_blocks = blocks.size();
             tracer_.add_counter("pipeline.blocks", blocks.size());
@@ -1016,28 +913,18 @@ void EpocCompiler::cold_compile(const Circuit& c, const util::Deadline& deadline
             const verify::Outcome vo =
                 verifier_.check_blocks_equiv(current, blocks, "partition");
             if (vo == verify::Outcome::failed) {
-                res.block_reports.push_back(
-                    {util::Stage::partition, 0, "partition",
-                     {util::Stage::partition, util::Cause::verify_failed, true,
-                      "partition equivalence audit failed; synthesis skipped"},
-                     vo});
-                res.degraded = true;
+                report_stage(res,
+                             {util::Stage::partition, util::Cause::verify_failed, true,
+                              "partition equivalence audit failed; synthesis skipped"},
+                             vo);
                 tracer_.add_counter("robust.partition_fallbacks");
             } else {
                 const util::Tracer::Span span = tracer_.span("synthesis", "pipeline");
                 current = synthesize_blocks(blocks, current.num_qubits(),
                                             res.synthesis_ms, deadline, res, be);
             }
-        } catch (const std::exception& e) {
-            const bool injected =
-                dynamic_cast<const util::fault::InjectedFault*>(&e) != nullptr;
-            res.block_reports.push_back(
-                {util::Stage::partition, 0, "partition",
-                 {util::Stage::partition,
-                  injected ? util::Cause::injected : util::Cause::exception, true,
-                  e.what()}});
-            res.degraded = true;
-            if (injected) tracer_.add_counter("robust.injected_faults");
+        } catch (...) {
+            report_stage_exception(res, util::Stage::partition, tracer_);
             tracer_.add_counter("robust.partition_fallbacks");
         }
     }
@@ -1045,104 +932,29 @@ void EpocCompiler::cold_compile(const Circuit& c, const util::Deadline& deadline
     res.synthesized_gates = current.size();
 
     // 4+5. Regroup (or not) and generate pulses (parallel over gates/blocks).
-    //
-    // The fine-grained arm (one pulse per synthesized gate) is always
-    // evaluated -- it is cheap thanks to the pulse library. With regrouping
-    // enabled the grouped schedule is evaluated too and the shorter of the
-    // two wins: on wide, shallow circuits a wide block pulse can blockade
-    // qubit lines and lose to well-packed per-gate pulses.
-    {
-        const auto t0 = std::chrono::steady_clock::now();
-
-        double fine_budget = 0.0; // audited |recorded - resim| sum, fine arm
-        std::vector<PulseJob> fine_jobs =
-            fine_pulse_jobs(current, deadline, res, fine_budget, nullptr, be);
-        util::Tracer::Span sched_span = tracer_.span("schedule asap", "pipeline");
-        const PulseSchedule fine = schedule_asap(fine_jobs, c.num_qubits());
-        sched_span.end();
-
-        double shipped_budget = fine_budget; // replaced if the grouped arm wins
-        if (opt_.regroup_enabled && deadline.expired()) {
-            // No budget left for a second arm: ship the fine-grained one.
-            res.block_reports.push_back(
-                {util::Stage::regroup, 0, "regroup",
-                 {util::Stage::regroup, expiry_cause(deadline), true,
-                  "skipped: budget spent"}});
-            res.degraded = true;
-            tracer_.add_counter("robust.deadline_skips");
-            res.schedule = fine;
-        } else if (opt_.regroup_enabled) {
-            try {
-                util::Tracer::Span regroup_span = tracer_.span("regroup", "pipeline");
-                util::fault::maybe_throw("regroup.fail");
-                const std::vector<partition::CircuitBlock> groups =
-                    regroup(current, ropt);
-                regroup_span.end();
-                tracer_.add_counter("pipeline.regroup_blocks", groups.size());
-                // Stage oracle: the regrouped block-unitary product must
-                // still be the synthesized circuit. Deterministic stage, so a
-                // failed audit drops the grouped arm instead of re-running.
-                const verify::Outcome vo =
-                    verifier_.check_blocks_equiv(current, groups, "regroup");
-                if (vo == verify::Outcome::failed) {
-                    res.block_reports.push_back(
-                        {util::Stage::regroup, 0, "regroup",
+    // Regrouping runs inside the pulse stage, after the fine arm and its
+    // deadline check.
+    GroupSource regrouped;
+    if (opt_.regroup_enabled)
+        regrouped = [&]() -> std::optional<std::vector<partition::CircuitBlock>> {
+            util::Tracer::Span regroup_span = tracer_.span("regroup", "pipeline");
+            util::fault::maybe_throw("regroup.fail");
+            std::vector<partition::CircuitBlock> groups = regroup(current, bopt.regroup);
+            regroup_span.end();
+            tracer_.add_counter("pipeline.regroup_blocks", groups.size());
+            // Stage oracle: the regrouped block-unitary product must still
+            // be the synthesized circuit. Deterministic stage, so a failed
+            // audit drops the grouped arm instead of re-running.
+            const verify::Outcome vo = verifier_.check_blocks_equiv(current, groups, "regroup");
+            if (vo != verify::Outcome::failed) return groups;
+            report_stage(res,
                          {util::Stage::regroup, util::Cause::verify_failed, true,
                           "regroup equivalence audit failed; fine-grained arm kept"},
-                         vo});
-                    res.degraded = true;
-                    tracer_.add_counter("robust.regroup_fallbacks");
-                    res.schedule = fine;
-                } else {
-                    util::Tracer::Span grouped_span =
-                        tracer_.span("pulses grouped", "pipeline");
-                    double grouped_budget = 0.0;
-                    const std::vector<PulseJob> jobs =
-                        pulse_jobs_for_blocks(groups, /*coarse_granularity=*/true,
-                                              deadline, res, grouped_budget, nullptr,
-                                              be);
-                    grouped_span.end();
-                    util::Tracer::Span gs_span =
-                        tracer_.span("schedule asap", "pipeline");
-                    const PulseSchedule grouped = schedule_asap(jobs, c.num_qubits());
-                    gs_span.end();
-                    const bool grouped_wins = grouped.latency <= fine.latency;
-                    tracer_.add_counter(grouped_wins ? "pipeline.grouped_arm_wins"
-                                                     : "pipeline.fine_arm_wins");
-                    res.schedule = grouped_wins ? grouped : fine;
-                    if (grouped_wins) shipped_budget = grouped_budget;
-                }
-            } catch (const std::exception& e) {
-                const bool injected =
-                    dynamic_cast<const util::fault::InjectedFault*>(&e) != nullptr;
-                res.block_reports.push_back(
-                    {util::Stage::regroup, 0, "regroup",
-                     {util::Stage::regroup,
-                      injected ? util::Cause::injected : util::Cause::exception, true,
-                      e.what()}});
-                res.degraded = true;
-                if (injected) tracer_.add_counter("robust.injected_faults");
-                tracer_.add_counter("robust.regroup_fallbacks");
-                res.schedule = fine;
-            }
-        } else {
-            res.schedule = fine;
-        }
-        if (res.schedule.dropped_jobs > 0) {
-            // The shipped schedule refused jobs addressing out-of-register
-            // qubits (schedule_asap drops instead of throwing): report it as
-            // a §4e schedule-stage degradation so callers see the partial
-            // schedule for what it is.
-            res.block_reports.push_back(
-                {util::Stage::schedule, 0, "schedule",
-                 {util::Stage::schedule, util::Cause::invalid_input, true,
-                  res.schedule.drop_detail}});
-            res.degraded = true;
-            tracer_.add_counter("robust.dropped_jobs", res.schedule.dropped_jobs);
-        }
-        if (verifier_.enabled()) verifier_.set_error_budget(shipped_budget);
-        res.qoc_ms = ms_since(t0);
-    }
+                         vo);
+            tracer_.add_counter("robust.regroup_fallbacks");
+            return std::nullopt;
+        };
+    pulse_stage(current, regrouped, nullptr, deadline, res, be);
 }
 
 CompilationPlan EpocCompiler::build_plan(const Circuit& c,
@@ -1150,13 +962,7 @@ CompilationPlan EpocCompiler::build_plan(const Circuit& c,
                                          const util::Deadline& deadline,
                                          const backend::Backend* be) {
     const util::Tracer::Span span = tracer_.span("plan build", "pipeline");
-    partition::PartitionOptions popt = opt_.partition;
-    RegroupOptions ropt = opt_.regroup_opt;
-    if (be != nullptr) {
-        popt.coupling = &be->coupling;
-        ropt.coupling = &be->coupling;
-        ropt.bridge_policy = popt.bridge_policy;
-    }
+    const BlockOptions bopt = block_options(opt_, be);
     CompilationPlan plan;
     plan.key = stripped.key;
     plan.num_qubits = c.num_qubits();
@@ -1192,7 +998,7 @@ CompilationPlan EpocCompiler::build_plan(const Circuit& c,
         zx_only.append(seg);
         if (opt_.use_synthesis) {
             const std::vector<partition::CircuitBlock> blocks =
-                partition::greedy_partition(seg, popt);
+                partition::greedy_partition(seg, bopt.partition);
             plan.partition_blocks += blocks.size();
             if (verifier_.check_blocks_equiv(seg, blocks, "partition") ==
                 verify::Outcome::failed)
@@ -1236,7 +1042,7 @@ CompilationPlan EpocCompiler::build_plan(const Circuit& c,
         // bindings needed to re-instantiate its body from a fresh angle
         // vector.
         const std::vector<partition::CircuitBlock> groups =
-            regroup(plan.skeleton, ropt);
+            regroup(plan.skeleton, bopt.regroup);
         plan.groups.reserve(groups.size());
         for (const partition::CircuitBlock& blk : groups)
             plan.groups.push_back(PlanGroup{blk, circuit::scan_bindings(blk.body)});
@@ -1283,55 +1089,9 @@ bool EpocCompiler::instantiate_plan(const CompilationPlan& plan,
 
     // Pulse stage: the same two-arm evaluation as the cold pipeline, with
     // per-slot warm starting when enabled (advisory only — see plan_cache.h).
-    const auto t0 = std::chrono::steady_clock::now();
-    double fine_budget = 0.0;
-    const WarmSlots* fine_warm = opt_.plan_warm_start ? &plan.fine_warm : nullptr;
-    std::vector<PulseJob> fine_jobs =
-        fine_pulse_jobs(skel, deadline, res, fine_budget, fine_warm, be);
-    util::Tracer::Span sched_span = tracer_.span("schedule asap", "pipeline");
-    const PulseSchedule fine = schedule_asap(fine_jobs, skel.num_qubits());
-    sched_span.end();
-
-    double shipped_budget = fine_budget;
-    if (!groups.empty() && deadline.expired()) {
-        // No budget left for the second arm: ship the fine-grained one.
-        res.block_reports.push_back(
-            {util::Stage::regroup, 0, "regroup",
-             {util::Stage::regroup, expiry_cause(deadline), true,
-              "skipped: budget spent"}});
-        res.degraded = true;
-        tracer_.add_counter("robust.deadline_skips");
-        res.schedule = fine;
-    } else if (!groups.empty()) {
-        util::Tracer::Span grouped_span = tracer_.span("pulses grouped", "pipeline");
-        double grouped_budget = 0.0;
-        const WarmSlots* group_warm = opt_.plan_warm_start ? &plan.group_warm : nullptr;
-        const std::vector<PulseJob> jobs =
-            pulse_jobs_for_blocks(groups, /*coarse_granularity=*/true, deadline, res,
-                                  grouped_budget, group_warm, be);
-        grouped_span.end();
-        util::Tracer::Span gs_span = tracer_.span("schedule asap", "pipeline");
-        const PulseSchedule grouped = schedule_asap(jobs, skel.num_qubits());
-        gs_span.end();
-        const bool grouped_wins = grouped.latency <= fine.latency;
-        tracer_.add_counter(grouped_wins ? "pipeline.grouped_arm_wins"
-                                         : "pipeline.fine_arm_wins");
-        res.schedule = grouped_wins ? grouped : fine;
-        if (grouped_wins) shipped_budget = grouped_budget;
-    } else {
-        res.schedule = fine;
-    }
-    if (res.schedule.dropped_jobs > 0) {
-        // Same §4e accounting as the cold path: out-of-register jobs were
-        // dropped by schedule_asap, so the shipped schedule is degraded.
-        res.block_reports.push_back({util::Stage::schedule, 0, "schedule",
-                                     {util::Stage::schedule, util::Cause::invalid_input,
-                                      true, res.schedule.drop_detail}});
-        res.degraded = true;
-        tracer_.add_counter("robust.dropped_jobs", res.schedule.dropped_jobs);
-    }
-    if (verifier_.enabled()) verifier_.set_error_budget(shipped_budget);
-    res.qoc_ms = ms_since(t0);
+    GroupSource bound;
+    if (!groups.empty()) bound = [&groups] { return std::optional(std::move(groups)); };
+    pulse_stage(skel, bound, &plan, deadline, res, be);
     return true;
 }
 
@@ -1496,25 +1256,9 @@ EpocResult EpocCompiler::compile(const Circuit& c, const CompileCallOptions& cal
                             res.synth_cache_stats.waits);
         tracer_.set_counter("synth_cache.uncached_degraded",
                             res.synth_cache_stats.uncacheable);
-        if (store_ != nullptr) {
-            tracer_.set_counter("store.hits", res.store_stats.hits);
-            tracer_.set_counter("store.misses", res.store_stats.misses);
-            tracer_.set_counter("store.writes", res.store_stats.writes);
-            tracer_.set_counter("store.corrupt", res.store_stats.corrupt);
-            tracer_.set_counter("store.evicted", res.store_stats.evicted);
-            tracer_.set_counter("store.bytes", res.store_stats.bytes);
-            tracer_.set_counter("store.invalidated", res.store_stats.invalidated);
-            tracer_.set_counter("store.quarantine_evicted",
-                                res.store_stats.quarantine_evicted);
-            tracer_.set_counter("store.pack.hits", res.store_stats.pack_hits);
-            tracer_.set_counter("store.pack.denied", res.store_stats.pack_denied);
-            tracer_.set_counter("store.pack.corrupt", res.store_stats.pack_corrupt);
-            tracer_.set_counter("store.pack.suspect", res.store_stats.pack_suspect);
-            tracer_.set_counter("store.pack.open", res.store_stats.packs_open);
-            tracer_.set_counter("store.pack.entries", res.store_stats.pack_entries);
-            tracer_.set_counter("store.pack.packed", res.store_stats.packed);
-            tracer_.set_counter("store.pack.bytes", res.store_stats.pack_bytes);
-        }
+        if (store_ != nullptr)
+            res.store_stats.for_each_counter(
+                [&](const char* name, std::uint64_t v) { tracer_.set_counter(name, v); });
         if (verifier_.enabled()) {
             tracer_.set_counter("verify.checks", res.verify.checks);
             tracer_.set_counter("verify.passed", res.verify.passed);

@@ -53,9 +53,11 @@
 #include "verify/verify.h"
 #include "zx/optimize.h"
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 
 namespace epoc::core {
 
@@ -362,6 +364,20 @@ private:
         linalg::Matrix target;
     };
 
+    /// One unit of pulse work: a single gate on global qubits (every gate of
+    /// the fine arm, and each gate of a block's fallback rung) or a regrouped
+    /// block. Exactly one member is set.
+    struct PulseUnit {
+        const circuit::Gate* gate = nullptr;
+        const partition::CircuitBlock* block = nullptr;
+    };
+    /// A unit's jobs, status, audit outcome and audit error (pipeline.cpp).
+    struct PulseFragment;
+    /// Yields the grouped arm's blocks, or nullopt when their layout was
+    /// rejected (the source reports why). Called after the fine arm has run
+    /// and passed its deadline check; an empty source means no grouped arm.
+    using GroupSource = std::function<std::optional<std::vector<partition::CircuitBlock>>()>;
+
     const qoc::BlockHamiltonian& hamiltonian(int num_qubits);
     /// Device-resolved Hamiltonian for a block over physical `qubits`,
     /// cached per (backend fingerprint, qubit set); be == nullptr falls back
@@ -375,20 +391,33 @@ private:
                                        int num_qubits, double& synth_ms,
                                        const util::Deadline& deadline, EpocResult& res,
                                        const backend::Backend* be);
-    std::vector<PulseJob> pulse_jobs_for_blocks(
-        const std::vector<partition::CircuitBlock>& blocks, bool coarse_granularity,
-        const util::Deadline& deadline, EpocResult& res, double& audit_err,
-        const WarmSlots* warm = nullptr, const backend::Backend* be = nullptr);
-    /// The fine-grained pulse arm: one pulse per gate of `current`, in
-    /// parallel, merged in gate order (reports + audit errors included). The
-    /// shared implementation of the cold pipeline's always-on fine arm and
-    /// the plan path's fine arm; `warm` (optional, plan path only) seeds and
-    /// collects per-gate-index warm-start amplitudes.
-    std::vector<PulseJob> fine_pulse_jobs(const circuit::Circuit& current,
-                                          const util::Deadline& deadline, EpocResult& res,
-                                          double& audit_err,
-                                          const WarmSlots* warm = nullptr,
-                                          const backend::Backend* be = nullptr);
+    /// Ladder rung 3 for gate `g` (global qubits): a placeholder pulse with
+    /// worst-case duration (`max_slots * dt`) and zero fidelity —
+    /// structurally schedulable, and impossible to mistake for a good pulse.
+    PulseJob placeholder_job(const circuit::Gate& g, const backend::Backend* be) const;
+    /// Pulses one unit into `frag`, taking the ladder on failure: a block
+    /// whose pulse is infeasible, degraded, errored or fails its audit falls
+    /// to its gates, pulsed by this same routine into the same fragment; a
+    /// gate that errors ships placeholder_job(). `warm` (plan path only)
+    /// seeds GRAPE from, and collects amplitudes into, slot `index`; audits
+    /// and their recomputes always run un-seeded.
+    void pulse_unit(const PulseUnit& unit, std::size_t index, const WarmSlots* warm,
+                    const util::Deadline& deadline, PulseFragment& frag,
+                    const backend::Backend* be);
+    /// One pulse arm: pulse_unit() over `units` in parallel, merged in unit
+    /// order into jobs, one BlockReport per unit and the arm's audit error.
+    std::vector<PulseJob> pulse_arm(const std::vector<PulseUnit>& units,
+                                    const WarmSlots* warm, const util::Deadline& deadline,
+                                    EpocResult& res, double& audit_err,
+                                    const backend::Backend* be);
+    /// The pulse stage shared by cold compiles and plan instantiations: the
+    /// fine arm over `current`, then — budget permitting — the grouped arm
+    /// over `groups()`, shipping the shorter schedule; then dropped-job
+    /// accounting, the shipped arm's error budget and `qoc_ms`. `plan`
+    /// (plan path only) supplies the warm-start slots.
+    void pulse_stage(const circuit::Circuit& current, const GroupSource& groups,
+                     const CompilationPlan* plan, const util::Deadline& deadline,
+                     EpocResult& res, const backend::Backend* be);
     /// Build a CompilationPlan for `c` (whose structure key is
     /// `stripped.key`): ZX + partition + synthesis over the maximal
     /// parameter-free segments, parametric gates carried through as slot
@@ -415,19 +444,11 @@ private:
     /// arms, filling `res` up to (but not including) the common result tail.
     void cold_compile(const circuit::Circuit& c, const util::Deadline& deadline,
                       EpocResult& res, const backend::Backend* be);
-    /// Ladder rung 2: one pulse per gate of `blk.body` (mapped to global
-    /// qubits); rung 3 inside substitutes a placeholder job on failure.
-    /// Audited pulses fold their outcome into `outcome` (worst wins) and
-    /// their audit error into `audit_err`.
-    std::vector<PulseJob> gate_fallback_jobs(const partition::CircuitBlock& blk,
-                                             const qoc::LatencySearchOptions& lopt,
-                                             util::BlockStatus& status,
-                                             verify::Outcome& outcome, double& audit_err,
-                                             const backend::Backend* be);
-    /// Schedule audit for one generated pulse (only called on feasible,
-    /// authoritative, sampled-in results): audit, recompute once on failure
-    /// via PulseLibrary::regenerate, re-audit. Updates `status` with
-    /// Cause::verify_failed when an audit failure was detected (cured or not).
+    /// Schedule audit for one generated pulse (feasible, authoritative,
+    /// sampled-in results only; anything else passes through unchecked):
+    /// audit, recompute once on failure via PulseLibrary::regenerate under
+    /// `lopt`, re-audit. Updates `status` with Cause::verify_failed when an
+    /// audit failure was detected (cured or not).
     AuditedPulse audit_pulse_result(std::shared_ptr<const qoc::LatencyResult> lr,
                                     const qoc::BlockHamiltonian& h,
                                     const linalg::Matrix& target,

@@ -704,30 +704,9 @@ StatusResponse EpocDaemon::status() const {
     put("qoc.store_misses", lib.store_misses);
     put("qoc.store_rejected", lib.store_rejected);
     put("qoc.store_writes", lib.store_writes);
-    if (store::PulseStore* st = compiler_->store()) {
-        const store::PulseStoreStats ss = st->stats();
-        put("store.hits", ss.hits);
-        put("store.misses", ss.misses);
-        put("store.writes", ss.writes);
-        put("store.corrupt", ss.corrupt);
-        put("store.evicted", ss.evicted);
-        put("store.invalidated", ss.invalidated);
-        put("store.io_errors", ss.io_errors);
-        put("store.disabled_enospc", ss.disabled_enospc);
-        put("store.skipped_disabled", ss.skipped_disabled);
-        put("store.quarantine_evicted", ss.quarantine_evicted);
-        put("store.bytes", ss.bytes);
-        // Shared pack tier: the per-daemon view a fleet operator reads to
-        // see whether the shipped warm library is actually being hit.
-        put("store.pack.hits", ss.pack_hits);
-        put("store.pack.denied", ss.pack_denied);
-        put("store.pack.corrupt", ss.pack_corrupt);
-        put("store.pack.suspect", ss.pack_suspect);
-        put("store.pack.open", ss.packs_open);
-        put("store.pack.entries", ss.pack_entries);
-        put("store.pack.packed", ss.packed);
-        put("store.pack.bytes", ss.pack_bytes);
-    }
+    // Shared store tier, pack counters included: the per-daemon view a fleet
+    // operator reads to see whether the shipped warm library is being hit.
+    if (store::PulseStore* st = compiler_->store()) st->stats().for_each_counter(put);
     return s;
 }
 

@@ -149,6 +149,32 @@ struct PulseStoreStats {
     std::size_t pack_entries = 0; ///< entries indexed across open packs
     std::size_t packed = 0;       ///< loose entries folded into packs by compaction
     std::uint64_t pack_bytes = 0; ///< bytes across open packs (outside the budget)
+
+    /// Calls `f(name, value)` for every counter above under its exported
+    /// `store.*` name: the one list the trace and the epocd status share.
+    template <typename F>
+    void for_each_counter(F&& f) const {
+        f("store.hits", hits);
+        f("store.misses", misses);
+        f("store.writes", writes);
+        f("store.corrupt", corrupt);
+        f("store.collisions", collisions);
+        f("store.evicted", evicted);
+        f("store.invalidated", invalidated);
+        f("store.io_errors", io_errors);
+        f("store.disabled_enospc", disabled_enospc);
+        f("store.skipped_disabled", skipped_disabled);
+        f("store.quarantine_evicted", quarantine_evicted);
+        f("store.bytes", bytes);
+        f("store.pack.hits", pack_hits);
+        f("store.pack.denied", pack_denied);
+        f("store.pack.corrupt", pack_corrupt);
+        f("store.pack.suspect", pack_suspect);
+        f("store.pack.open", packs_open);
+        f("store.pack.entries", pack_entries);
+        f("store.pack.packed", packed);
+        f("store.pack.bytes", pack_bytes);
+    }
 };
 
 class PulseStore final : public qoc::PulseTier {

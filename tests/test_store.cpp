@@ -750,4 +750,16 @@ TEST(StoreCompile, InjectedDegradedPulsesNeverPersistDuringCompile) {
         << "a compile full of injected faults must write nothing to disk";
 }
 
+TEST(StoreCompile, TraceCarriesTheEnospcTrip) {
+    // Every store counter reaches the trace, including the memory-only trip.
+    FaultGuard guard;
+    TempDir dir;
+    util::fault::configure("store.enospc=1");
+    core::EpocCompiler compiler(cheap_compile_options(1, dir.str()));
+    const core::EpocResult r = compiler.compile(bench::ghz(3));
+    EXPECT_FALSE(r.degraded);
+    EXPECT_EQ(r.store_stats.disabled_enospc, 1u);
+    EXPECT_GT(r.trace.counter("store.disabled_enospc"), 0u);
+}
+
 } // namespace

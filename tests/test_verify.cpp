@@ -586,4 +586,37 @@ TEST(VerifyPlanCache, DoctoredPlanIsDetectedEvictedAndRebuilt) {
     EXPECT_EQ(digest(again), clean_digest);
 }
 
+TEST(VerifyPlanCache, RecomputesNeverRerunTheWarmSeed) {
+    // A verify-triggered recompute regenerates without the warm seed on both
+    // pulse arms: the seed that produced a rejected pulse is not trusted to
+    // produce its replacement. Recomputes are therefore cold runs, which the
+    // store keeps, so the faulted sweep skips exactly as many warm-started
+    // write-backs as the clean one.
+    const auto qaoa = [](double gamma, double beta) {
+        Circuit c(2);
+        c.h(0).h(1);
+        c.rzz(gamma, 0, 1);
+        c.rx(beta, 0).rx(beta, 1);
+        return c;
+    };
+    std::size_t warm_skipped[2] = {0, 0};
+    for (const bool faulted : {false, true}) {
+        TempDir dir;
+        EpocOptions opt = cheap_options(1, VerifyLevel::full);
+        opt.plan_cache = true;
+        opt.pulse_store_dir = dir.str();
+        EpocCompiler compiler(opt);
+        (void)compiler.compile(qaoa(0.4, 0.9));
+        const FaultGuard g(faulted ? "latency.badpulse=*" : "");
+        const EpocResult r = compiler.compile(qaoa(1.3, -0.6));
+        ASSERT_TRUE(r.plan_hit);
+        if (faulted) {
+            EXPECT_GT(r.verify.recomputes, 0u);
+        }
+        warm_skipped[faulted ? 1 : 0] = r.library_stats.store_warm_skipped;
+    }
+    EXPECT_GT(warm_skipped[0], 0u);
+    EXPECT_EQ(warm_skipped[1], warm_skipped[0]);
+}
+
 } // namespace
