@@ -4,8 +4,8 @@
 // Three tables:
 //   1. Incremental mode on a hardware-efficient VQE ansatz (parametric
 //      rotation layers around a fixed Toffoli + CX entangler): the build
-//      iteration pays for ZX, partitioning, QSearch synthesis of the 3q
-//      entangler and regrouping; every later iteration re-binds the plan and
+//      iteration pays for ZX, partitioning and QSearch synthesis of the 3q
+//      entangler; every later iteration re-binds the plan, regroups and
 //      regenerates only the tiny angle-dependent pulses. This is the
 //      headline number (>= 3x per-iteration collapse required; in practice
 //      it is orders of magnitude).

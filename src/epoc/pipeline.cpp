@@ -501,26 +501,12 @@ Circuit EpocCompiler::synthesize_blocks(const std::vector<partition::CircuitBloc
                 const auto cacheable = [](const synthesis::SynthesisResult& r) {
                     return !r.timed_out;
                 };
-                // Waiter-retry: single-flight publishes a timed-out result to
-                // the callers blocked on the losing leader and evicts it — but
-                // a healthy waiter inheriting it would ship another job's
-                // degradation. While our own budget is intact, re-enter the
-                // cache instead (bounded; same rule as PulseLibrary).
-                std::shared_ptr<const synthesis::SynthesisResult> sr;
-                for (int attempt = 0;; ++attempt) {
-                    bool led = false;
-                    sr = synth_cache_.get_or_compute(
-                        key,
-                        [&] {
-                            led = true;
-                            return compute();
-                        },
-                        cacheable);
-                    if (led || !sr->timed_out) break;
-                    if (deadline.expired() || attempt >= 3) break;
-                    synth_cache_.erase_if(key, sr);
-                    tracer_.add_counter("synth.waiter_retries");
-                }
+                // A healthy waiter never ships a timed-out result it only
+                // inherited from a losing leader (same rule as PulseLibrary).
+                std::shared_ptr<const synthesis::SynthesisResult> sr =
+                    synth_cache_.get_or_compute_retrying(
+                        key, compute, cacheable, &deadline,
+                        [&] { tracer_.add_counter("synth.waiter_retries"); });
                 // Synthesis is an optimization, not an obligation: if the
                 // searched circuit carries no fewer entangling gates than the
                 // original block (or missed the accuracy target), keep the
@@ -784,9 +770,9 @@ std::vector<PulseJob> EpocCompiler::pulse_arm(const std::vector<PulseUnit>& unit
     return jobs;
 }
 
-void EpocCompiler::pulse_stage(const Circuit& current, const GroupSource& groups,
-                               const CompilationPlan* plan, const util::Deadline& deadline,
-                               EpocResult& res, const backend::Backend* be) {
+std::size_t EpocCompiler::pulse_stage(const Circuit& current, const CompilationPlan* plan,
+                                      const util::Deadline& deadline, EpocResult& res,
+                                      const backend::Backend* be) {
     const auto t0 = std::chrono::steady_clock::now();
     const bool warm = plan != nullptr && opt_.plan_warm_start;
     const auto schedule = [&](const std::vector<PulseJob>& jobs) {
@@ -806,19 +792,37 @@ void EpocCompiler::pulse_stage(const Circuit& current, const GroupSource& groups
     fine_span.end();
     res.schedule = schedule(fine_jobs);
 
-    // With a grouped arm, its schedule is evaluated too and the shorter of
-    // the two wins: on wide, shallow circuits a wide block pulse can blockade
+    // 4. Regroup, and evaluate the grouped arm's schedule too: the shorter of
+    // the two wins. On wide, shallow circuits a wide block pulse can blockade
     // qubit lines and lose to well-packed per-gate pulses.
-    if (groups && deadline.expired()) {
+    std::size_t num_groups = 0;
+    if (opt_.regroup_enabled && deadline.expired()) {
         // No budget left for a second arm: ship the fine-grained one.
         report_stage(res, {util::Stage::regroup, expiry_cause(deadline), true,
                            "skipped: budget spent"});
         tracer_.add_counter("robust.deadline_skips");
-    } else if (groups) {
+    } else if (opt_.regroup_enabled) {
         try {
-            if (const std::optional<std::vector<partition::CircuitBlock>> blocks = groups()) {
+            util::Tracer::Span regroup_span = tracer_.span("regroup", "pipeline");
+            util::fault::maybe_throw("regroup.fail");
+            const std::vector<partition::CircuitBlock> groups =
+                regroup(current, block_options(opt_, be).regroup);
+            regroup_span.end();
+            num_groups = groups.size();
+            tracer_.add_counter("pipeline.regroup_blocks", groups.size());
+            // Stage oracle: the regrouped block-unitary product must still
+            // be the synthesized circuit. Deterministic stage, so a failed
+            // audit drops the grouped arm instead of re-running.
+            const verify::Outcome vo = verifier_.check_blocks_equiv(current, groups, "regroup");
+            if (vo == verify::Outcome::failed) {
+                report_stage(res,
+                             {util::Stage::regroup, util::Cause::verify_failed, true,
+                              "regroup equivalence audit failed; fine-grained arm kept"},
+                             vo);
+                tracer_.add_counter("robust.regroup_fallbacks");
+            } else {
                 units.clear();
-                for (const partition::CircuitBlock& blk : *blocks)
+                for (const partition::CircuitBlock& blk : groups)
                     units.push_back(PulseUnit{nullptr, &blk});
                 util::Tracer::Span grouped_span = tracer_.span("pulses grouped", "pipeline");
                 double grouped_budget = 0.0;
@@ -850,11 +854,12 @@ void EpocCompiler::pulse_stage(const Circuit& current, const GroupSource& groups
     }
     if (verifier_.enabled()) verifier_.set_error_budget(shipped_budget);
     res.qoc_ms = ms_since(t0);
+    return num_groups;
 }
 
-void EpocCompiler::cold_compile(const Circuit& c, const util::Deadline& deadline,
-                                EpocResult& res, const backend::Backend* be) {
-    const BlockOptions bopt = block_options(opt_, be);
+Circuit EpocCompiler::front_end(const Circuit& c, const util::Deadline& deadline,
+                                EpocResult& res, const backend::Backend* be,
+                                Circuit* after_zx) {
     // 1. Graph-based depth optimization. Failure or a spent budget keeps the
     // original circuit: ZX is a pure optimization.
     Circuit current = c;
@@ -895,6 +900,7 @@ void EpocCompiler::cold_compile(const Circuit& c, const util::Deadline& deadline
         res.zx_ms = ms_since(t0);
     }
     res.depth_after_zx = current.depth();
+    if (after_zx != nullptr) *after_zx = current;
 
     // 2+3. Partition and synthesize (parallel over blocks). A partitioner
     // failure skips synthesis for the whole circuit (again: an optimization).
@@ -903,10 +909,9 @@ void EpocCompiler::cold_compile(const Circuit& c, const util::Deadline& deadline
             util::Tracer::Span part_span = tracer_.span("partition", "pipeline");
             util::fault::maybe_throw("partition.fail");
             const std::vector<partition::CircuitBlock> blocks =
-                partition::greedy_partition(current, bopt.partition);
+                partition::greedy_partition(current, block_options(opt_, be).partition);
             part_span.end();
             res.num_blocks = blocks.size();
-            tracer_.add_counter("pipeline.blocks", blocks.size());
             // Stage oracle: the block list must reproduce the circuit it
             // partitions. A failed audit skips synthesis entirely (the
             // blocks are the synthesis input) and keeps `current`.
@@ -928,33 +933,7 @@ void EpocCompiler::cold_compile(const Circuit& c, const util::Deadline& deadline
             tracer_.add_counter("robust.partition_fallbacks");
         }
     }
-    res.synthesized = current;
-    res.synthesized_gates = current.size();
-
-    // 4+5. Regroup (or not) and generate pulses (parallel over gates/blocks).
-    // Regrouping runs inside the pulse stage, after the fine arm and its
-    // deadline check.
-    GroupSource regrouped;
-    if (opt_.regroup_enabled)
-        regrouped = [&]() -> std::optional<std::vector<partition::CircuitBlock>> {
-            util::Tracer::Span regroup_span = tracer_.span("regroup", "pipeline");
-            util::fault::maybe_throw("regroup.fail");
-            std::vector<partition::CircuitBlock> groups = regroup(current, bopt.regroup);
-            regroup_span.end();
-            tracer_.add_counter("pipeline.regroup_blocks", groups.size());
-            // Stage oracle: the regrouped block-unitary product must still
-            // be the synthesized circuit. Deterministic stage, so a failed
-            // audit drops the grouped arm instead of re-running.
-            const verify::Outcome vo = verifier_.check_blocks_equiv(current, groups, "regroup");
-            if (vo != verify::Outcome::failed) return groups;
-            report_stage(res,
-                         {util::Stage::regroup, util::Cause::verify_failed, true,
-                          "regroup equivalence audit failed; fine-grained arm kept"},
-                         vo);
-            tracer_.add_counter("robust.regroup_fallbacks");
-            return std::nullopt;
-        };
-    pulse_stage(current, regrouped, nullptr, deadline, res, be);
+    return current;
 }
 
 CompilationPlan EpocCompiler::build_plan(const Circuit& c,
@@ -962,54 +941,30 @@ CompilationPlan EpocCompiler::build_plan(const Circuit& c,
                                          const util::Deadline& deadline,
                                          const backend::Backend* be) {
     const util::Tracer::Span span = tracer_.span("plan build", "pipeline");
-    const BlockOptions bopt = block_options(opt_, be);
+    // Parametric gates are reuse barriers: the front end runs only over the
+    // maximal parameter-free program-order segments between them, which makes
+    // the skeleton angle-independent by construction. The parametric gates
+    // themselves pass through stamped with slot sentinels (circuit/structure.h),
+    // in exactly the slot order strip_parameters assigned, so the bindings
+    // recovered by scanning the finished skeleton line up with the stripped
+    // angle vector.
     CompilationPlan plan;
-    plan.key = stripped.key;
-    plan.num_qubits = c.num_qubits();
-    plan.num_slots = stripped.params.size();
-    plan.depth_original = c.depth();
-
-    // Parametric gates are reuse barriers: ZX, partition and synthesis run
-    // only over the maximal parameter-free program-order segments between
-    // them, which makes every cached stage product angle-independent by
-    // construction. The parametric gates themselves pass through stamped
-    // with slot sentinels (circuit/structure.h), in exactly the slot order
-    // strip_parameters assigned, so the bindings recovered by scanning the
-    // finished skeleton line up with the stripped angle vector.
-    Circuit skeleton(c.num_qubits());
-    Circuit zx_only(c.num_qubits()); // post-ZX, pre-synthesis (diagnostics)
+    plan.skeleton = Circuit(c.num_qubits());
+    Circuit after_zx(c.num_qubits()); // post-ZX, pre-synthesis (depth_after_zx)
     Circuit segment(c.num_qubits());
     std::size_t slot = 0;
-    EpocResult scratch; // synthesize_blocks reporting sink; never shipped
     const auto process_segment = [&] {
         if (segment.empty()) return;
-        Circuit seg = std::move(segment);
+        // The front end's reports are dropped: a clean build has only clean
+        // ones, and a degraded build goes cold, where they are made again.
+        EpocResult sink;
+        Circuit zx_out(0);
+        const Circuit synthesized = front_end(segment, deadline, sink, be, &zx_out);
+        if (sink.degraded) throw PlanDegraded("plan build: degraded front end");
+        after_zx.append(zx_out);
+        plan.skeleton.append(synthesized);
+        plan.partition_blocks += sink.num_blocks;
         segment = Circuit(c.num_qubits());
-        if (deadline.expired()) throw PlanDegraded("plan build: budget spent");
-        if (opt_.use_zx) {
-            zx::ZxOptimizeResult zr = zx::zx_optimize(seg);
-            // The same stage oracles a cold compile runs guard the build; a
-            // failure aborts the plan instead of caching a degraded one.
-            if (verifier_.check_circuit_equiv(seg, zr.circuit, "zx") ==
-                verify::Outcome::failed)
-                throw PlanDegraded("plan build: zx equivalence audit failed");
-            seg = std::move(zr.circuit);
-        }
-        zx_only.append(seg);
-        if (opt_.use_synthesis) {
-            const std::vector<partition::CircuitBlock> blocks =
-                partition::greedy_partition(seg, bopt.partition);
-            plan.partition_blocks += blocks.size();
-            if (verifier_.check_blocks_equiv(seg, blocks, "partition") ==
-                verify::Outcome::failed)
-                throw PlanDegraded("plan build: partition equivalence audit failed");
-            double synth_ms = 0.0;
-            seg = synthesize_blocks(blocks, c.num_qubits(), synth_ms, deadline, scratch,
-                                    be);
-            if (scratch.degraded)
-                throw PlanDegraded("plan build: degraded synthesis block");
-        }
-        skeleton.append(seg);
     };
     for (const Gate& g : c.gates()) {
         // Mirror strip_parameters' structural/parametric split exactly, so
@@ -1026,77 +981,22 @@ CompilationPlan EpocCompiler::build_plan(const Circuit& c,
             sg.params.resize(static_cast<std::size_t>(np), 0.0);
         for (int p = 0; p < np; ++p)
             sg.params[static_cast<std::size_t>(p)] = circuit::slot_sentinel(slot++);
-        zx_only.add(sg);
-        skeleton.add(sg);
+        after_zx.add(sg);
+        plan.skeleton.add(sg);
     }
     process_segment();
     if (slot != stripped.params.size())
         throw PlanDegraded("plan build: slot count mismatch against the stripped key");
 
-    plan.depth_after_zx = zx_only.depth();
-    plan.skeleton = std::move(skeleton);
-    plan.fine_bindings = circuit::scan_bindings(plan.skeleton);
-    if (opt_.regroup_enabled) {
-        // Regroup is structure-only (it never reads parameter values), so it
-        // runs directly on the sentinel skeleton; each group keeps the
-        // bindings needed to re-instantiate its body from a fresh angle
-        // vector.
-        const std::vector<partition::CircuitBlock> groups =
-            regroup(plan.skeleton, bopt.regroup);
-        plan.groups.reserve(groups.size());
-        for (const partition::CircuitBlock& blk : groups)
-            plan.groups.push_back(PlanGroup{blk, circuit::scan_bindings(blk.body)});
-    }
-    tracer_.add_counter("plan.cached_blocks", plan.groups.size());
+    plan.depth_after_zx = after_zx.depth();
+    plan.bindings = circuit::scan_bindings(plan.skeleton);
     return plan;
 }
 
-bool EpocCompiler::instantiate_plan(const CompilationPlan& plan,
-                                    const std::vector<double>& params, bool is_hit,
-                                    const util::Deadline& deadline, EpocResult& res,
-                                    const backend::Backend* be) {
-    util::fault::maybe_throw("plan.instantiate");
-    // Bind the fresh angles into copies of the plan's template artifacts.
-    // bind_parameters throws on a stale binding (caught by the caller and
-    // treated as a plan failure) — a half-bound circuit is never shipped.
-    Circuit skel = plan.skeleton;
-    circuit::bind_parameters(skel, plan.fine_bindings, params);
-    std::vector<partition::CircuitBlock> groups;
-    groups.reserve(plan.groups.size());
-    for (const PlanGroup& pg : plan.groups) {
-        partition::CircuitBlock blk = pg.block;
-        circuit::bind_parameters(blk.body, pg.bindings, params);
-        groups.push_back(std::move(blk));
-    }
-    // Instantiation oracle: the same blocks-equivalence check a cold compile
-    // runs over its fresh regroup layout, pointed at the reused one. Runs
-    // before `res` is touched, so a stale or doctored plan is rejected while
-    // the cold fallback is still pristine.
-    if (!groups.empty() &&
-        verifier_.check_plan_layout(skel, groups) == verify::Outcome::failed)
-        return false;
-
-    res.plan_hit = is_hit;
-    if (is_hit) {
-        res.plan_blocks_reused = groups.empty() ? plan.partition_blocks : groups.size();
-        tracer_.add_counter("plan.blocks_reinstantiated", res.plan_blocks_reused);
-    }
-    res.depth_after_zx = plan.depth_after_zx;
-    res.num_blocks = plan.partition_blocks;
-    tracer_.add_counter("pipeline.blocks", plan.partition_blocks);
-    res.synthesized = skel;
-    res.synthesized_gates = skel.size();
-
-    // Pulse stage: the same two-arm evaluation as the cold pipeline, with
-    // per-slot warm starting when enabled (advisory only — see plan_cache.h).
-    GroupSource bound;
-    if (!groups.empty()) bound = [&groups] { return std::optional(std::move(groups)); };
-    pulse_stage(skel, bound, &plan, deadline, res, be);
-    return true;
-}
-
-bool EpocCompiler::try_plan_compile(const Circuit& c, const util::Deadline& deadline,
-                                    EpocResult& res, const backend::Backend* be) {
+std::shared_ptr<const CompilationPlan> EpocCompiler::bind_plan(const Circuit& c,
+                                                               const util::Deadline& deadline,
+                                                               const backend::Backend* be,
+                                                               Circuit& bound, bool& hit) {
     try {
         const util::Tracer::Span span = tracer_.span("plan", "pipeline");
         util::fault::maybe_throw("plan.lookup");
@@ -1104,40 +1004,36 @@ bool EpocCompiler::try_plan_compile(const Circuit& c, const util::Deadline& dead
         // The backend fingerprint joins the plan key: the same structure
         // targeted at two devices partitions, routes and synthesizes
         // differently, so the plans must never be shared.
-        const std::string plan_key =
-            be != nullptr ? stripped.key + "|B:" + fp_hex(be->fingerprint_hash())
-                          : stripped.key;
-        for (int attempt = 0; attempt < 2; ++attempt) {
-            bool built = false;
-            const std::shared_ptr<const CompilationPlan> plan =
-                plan_cache_.get_or_build(
-                    plan_key, [&] { return build_plan(c, stripped, deadline, be); },
-                    &built);
-            if (built) {
-                tracer_.add_counter("plan.misses");
-                tracer_.add_counter("plan.builds");
-            } else {
-                tracer_.add_counter("plan.hits");
-            }
-            if (instantiate_plan(*plan, stripped.params, !built, deadline, res, be))
-                return true;
-            // The instantiation oracle rejected the cached layout (stale or
-            // doctored): compare-and-evict exactly this plan, rebuild once,
-            // then give up and go cold.
-            plan_cache_.erase_if(plan_key, plan);
-            tracer_.add_counter("plan.evictions");
-            verifier_.note_recompute();
-            if (built) break; // our own fresh build failed its oracle
+        const std::string key = be != nullptr
+                                    ? stripped.key + "|B:" + fp_hex(be->fingerprint_hash())
+                                    : stripped.key;
+        bool built = false;
+        const std::shared_ptr<const CompilationPlan> plan =
+            plan_cache_.get_or_compute(key, [&] {
+                built = true;
+                return build_plan(c, stripped, deadline, be);
+            });
+        if (built) {
+            tracer_.add_counter("plan.misses");
+            tracer_.add_counter("plan.builds");
+        } else {
+            tracer_.add_counter("plan.hits");
         }
+        util::fault::maybe_throw("plan.instantiate");
+        // bind_parameters throws on a stale binding: a half-bound circuit is
+        // never shipped.
+        bound = plan->skeleton;
+        circuit::bind_parameters(bound, plan->bindings, stripped.params);
+        hit = !built;
+        return plan;
     } catch (const util::fault::InjectedFault&) {
         tracer_.add_counter("robust.injected_faults");
-    } catch (const std::exception&) {
+    } catch (...) {
         // PlanDegraded, a stale binding, or anything else on the plan path:
         // fall back to the cold pipeline, whose ladder reports any real
         // degradation honestly.
-    } catch (...) {
     }
-    return false;
+    return nullptr;
 }
 
 EpocResult EpocCompiler::compile(const Circuit& c) { return compile(c, {}); }
@@ -1196,25 +1092,31 @@ EpocResult EpocCompiler::compile(const Circuit& c, const CompileCallOptions& cal
 
     util::Tracer::Span compile_span = tracer_.span("compile", "pipeline");
 
-    bool planned = false;
+    // The plan path is the cold path plus a cache: a bound plan stands in
+    // for the front end (ZX, partition, synthesis), and both paths share the
+    // pulse stage. bind_plan never writes `res`, so a plan failure leaves it
+    // pristine for the front end.
+    std::shared_ptr<const CompilationPlan> plan;
+    Circuit current(0);
     if (opt_.plan_cache) {
-        // Plan path: reuse (or build) the structure-keyed compilation plan.
-        // It assembles into a scratch result committed only on success, so
-        // any plan failure leaves a pristine state for the cold fallback.
-        EpocResult scratch;
-        scratch.verify.level = res.verify.level;
-        scratch.status = res.status;
-        scratch.threads_used = res.threads_used;
-        scratch.depth_original = res.depth_original;
-        scratch.gates_original = res.gates_original;
-        scratch.backend_name = res.backend_name;
-        planned = try_plan_compile(*input, deadline, scratch, be);
-        if (planned)
-            res = std::move(scratch);
-        else
-            tracer_.add_counter("robust.plan_fallbacks");
+        plan = bind_plan(*input, deadline, be, current, res.plan_hit);
+        if (plan == nullptr) tracer_.add_counter("robust.plan_fallbacks");
     }
-    if (!planned) cold_compile(*input, deadline, res, be);
+    if (plan != nullptr) {
+        res.depth_after_zx = plan->depth_after_zx;
+        res.num_blocks = plan->partition_blocks;
+    } else {
+        current = front_end(*input, deadline, res, be);
+    }
+    tracer_.add_counter("pipeline.blocks", res.num_blocks);
+    res.synthesized = current;
+    res.synthesized_gates = current.size();
+    // 4+5. Regroup (or not) and generate pulses (parallel over gates/blocks).
+    const std::size_t num_groups = pulse_stage(current, plan.get(), deadline, res, be);
+    if (res.plan_hit) {
+        res.plan_blocks_reused = num_groups > 0 ? num_groups : plan->partition_blocks;
+        tracer_.add_counter("plan.blocks_reinstantiated", res.plan_blocks_reused);
+    }
 
     res.num_pulses = res.schedule.pulses.size();
     res.latency_ns = res.schedule.latency;

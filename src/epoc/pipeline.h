@@ -53,11 +53,9 @@
 #include "verify/verify.h"
 #include "zx/optimize.h"
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 
 namespace epoc::core {
 
@@ -146,11 +144,11 @@ struct EpocOptions {
     verify::VerifyOptions verify_opt;
     /// Incremental variational compilation (epoc/plan_cache.h): key each
     /// compile on the circuit's parameter-stripped structure and cache the
-    /// structural pipeline product (ZX + partition + synthesis + regroup as a
-    /// slot-sentinel skeleton). A repeat structure with fresh angles binds the
-    /// cached plan and goes straight to pulse generation; the first compile of
-    /// a structure builds (and verifies) the plan. Any plan-path failure —
-    /// a degraded build, a failed instantiation oracle, an injected fault —
+    /// front end's product (ZX + partition + synthesis as a slot-sentinel
+    /// skeleton). A repeat structure with fresh angles binds the cached plan
+    /// and goes straight to the pulse stage (regroup + pulses); the first
+    /// compile of a structure builds (and verifies) the plan. Any plan-path
+    /// failure — a degraded build, a stale binding, an injected fault —
     /// falls back to the ordinary cold pipeline; plan compiles never throw
     /// where cold compiles would not.
     bool plan_cache = false;
@@ -253,13 +251,13 @@ struct EpocResult {
     /// True when the compile deadline (or cancel token) expired at any point.
     bool deadline_hit = false;
     /// True when this compile reused a cached CompilationPlan (plan_cache on,
-    /// the structure key hit, and the instantiation oracle passed). False on
-    /// the structure's first compile (the plan *build*) and on any fallback
-    /// to the cold pipeline.
+    /// the structure key hit, and the angles bound). False on the
+    /// structure's first compile (the plan *build*) and on any fallback to
+    /// the cold pipeline.
     bool plan_hit = false;
-    /// Number of plan blocks re-instantiated from the cached layout on a plan
-    /// hit (the regroup groups, or the partition blocks when regrouping is
-    /// off). Zero on builds and cold compiles.
+    /// On a plan hit, the block count the bound skeleton was regrouped into,
+    /// or the plan's partition block count when no regroup ran. Zero on
+    /// builds and cold compiles.
     std::size_t plan_blocks_reused = 0;
     /// Per-compile verification tally: level, check/pass/fail/unverified
     /// counts, store revalidations and rejects, recomputes, and the shipped
@@ -331,10 +329,9 @@ public:
     /// sampled/full; see EpocOptions::verify_level).
     const verify::Verifier& verifier() const { return verifier_; }
     /// The compilation plan cache (populated only when EpocOptions::plan_cache
-    /// is on). Exposed for inspection and for the verify test battery, which
-    /// plants doctored plans through PlanCache::replace to prove the
-    /// instantiation oracle rejects them.
-    PlanCache& plan_cache() { return plan_cache_; }
+    /// is on), keyed on structure plus backend fingerprint. Exposed for
+    /// inspection: its size and build (miss) count.
+    util::ShardedFlightCache<CompilationPlan>& plan_cache() { return plan_cache_; }
 
 private:
     /// One pulse result through the schedule audit, with the recompute-once
@@ -373,10 +370,6 @@ private:
     };
     /// A unit's jobs, status, audit outcome and audit error (pipeline.cpp).
     struct PulseFragment;
-    /// Yields the grouped arm's blocks, or nullopt when their layout was
-    /// rejected (the source reports why). Called after the fine arm has run
-    /// and passed its deadline check; an empty source means no grouped arm.
-    using GroupSource = std::function<std::optional<std::vector<partition::CircuitBlock>>()>;
 
     const qoc::BlockHamiltonian& hamiltonian(int num_qubits);
     /// Device-resolved Hamiltonian for a block over physical `qubits`,
@@ -410,40 +403,39 @@ private:
                                     const WarmSlots* warm, const util::Deadline& deadline,
                                     EpocResult& res, double& audit_err,
                                     const backend::Backend* be);
-    /// The pulse stage shared by cold compiles and plan instantiations: the
-    /// fine arm over `current`, then — budget permitting — the grouped arm
-    /// over `groups()`, shipping the shorter schedule; then dropped-job
-    /// accounting, the shipped arm's error budget and `qoc_ms`. `plan`
-    /// (plan path only) supplies the warm-start slots.
-    void pulse_stage(const circuit::Circuit& current, const GroupSource& groups,
-                     const CompilationPlan* plan, const util::Deadline& deadline,
-                     EpocResult& res, const backend::Backend* be);
+    /// The front end of every cold compile and of every plan build segment:
+    /// ZX, then partition and synthesis. Returns the synthesized circuit and,
+    /// when `after_zx` is set, the post-ZX one there. A stage that fails or
+    /// is skipped reports on `res` and passes its input through; stage times,
+    /// depth_after_zx and num_blocks land on `res` too.
+    circuit::Circuit front_end(const circuit::Circuit& c, const util::Deadline& deadline,
+                               EpocResult& res, const backend::Backend* be,
+                               circuit::Circuit* after_zx = nullptr);
+    /// The pulse stage every compile ends in: the fine arm over `current`,
+    /// then — budget permitting — regroup with its oracle and the grouped
+    /// arm, shipping the shorter schedule; then dropped-job accounting, the
+    /// shipped arm's error budget and `qoc_ms`. `plan` (plan path only)
+    /// supplies the warm-start slots. Returns the regroup block count (0
+    /// when regroup did not run).
+    std::size_t pulse_stage(const circuit::Circuit& current, const CompilationPlan* plan,
+                            const util::Deadline& deadline, EpocResult& res,
+                            const backend::Backend* be);
     /// Build a CompilationPlan for `c` (whose structure key is
-    /// `stripped.key`): ZX + partition + synthesis over the maximal
-    /// parameter-free segments, parametric gates carried through as slot
-    /// sentinels, then regroup over the assembled skeleton. Throws (so the
-    /// single-flight slot is erased and the compile goes cold) on *any*
-    /// degradation — only clean plans are ever cached.
+    /// `stripped.key`): the front end over each maximal parameter-free
+    /// segment, parametric gates carried through as slot sentinels. Throws
+    /// (so the single-flight slot is erased and the compile goes cold) on
+    /// *any* degradation — only clean plans are ever cached.
     CompilationPlan build_plan(const circuit::Circuit& c,
                                const circuit::StrippedCircuit& stripped,
                                const util::Deadline& deadline,
                                const backend::Backend* be);
-    /// Bind `params` into `plan` and run the pulse stage on the result.
-    /// Returns false — before touching `res` — when the instantiation oracle
-    /// rejects the plan's layout (stale/doctored entry); the caller evicts
-    /// and rebuilds. `is_hit` is false on the build compile.
-    bool instantiate_plan(const CompilationPlan& plan, const std::vector<double>& params,
-                          bool is_hit, const util::Deadline& deadline, EpocResult& res,
-                          const backend::Backend* be);
-    /// The whole plan path: strip, lookup-or-build, instantiate, with the
-    /// evict-and-rebuild-once rung on an oracle failure. Never throws; false
-    /// means "run the cold pipeline" (res is untouched then).
-    bool try_plan_compile(const circuit::Circuit& c, const util::Deadline& deadline,
-                          EpocResult& res, const backend::Backend* be);
-    /// The ordinary (non-plan) pipeline: ZX -> partition/synthesis -> pulse
-    /// arms, filling `res` up to (but not including) the common result tail.
-    void cold_compile(const circuit::Circuit& c, const util::Deadline& deadline,
-                      EpocResult& res, const backend::Backend* be);
+    /// The plan path's stand-in for front_end(): strip `c`, look up (or
+    /// build) its plan and bind the angles into `bound`; `hit` is false on
+    /// the build. Never throws; nullptr means "run the front end".
+    std::shared_ptr<const CompilationPlan> bind_plan(const circuit::Circuit& c,
+                                                     const util::Deadline& deadline,
+                                                     const backend::Backend* be,
+                                                     circuit::Circuit& bound, bool& hit);
     /// Schedule audit for one generated pulse (feasible, authoritative,
     /// sampled-in results only; anything else passes through unchecked):
     /// audit, recompute once on failure via PulseLibrary::regenerate under
@@ -463,7 +455,7 @@ private:
     std::unique_ptr<store::PulseStore> store_;
     qoc::PulseLibrary library_;
     util::ShardedFlightCache<synthesis::SynthesisResult> synth_cache_;
-    PlanCache plan_cache_;
+    util::ShardedFlightCache<CompilationPlan> plan_cache_;
     std::mutex hams_mutex_;
     /// Hamiltonian cache, keyed "n:<width>" for the legacy uniform-device
     /// model and "b:<backend-fingerprint-hash>:<qubit ids>" for

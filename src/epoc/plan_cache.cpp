@@ -18,33 +18,4 @@ std::size_t WarmSlots::size() const {
     return slots_.size();
 }
 
-std::shared_ptr<const CompilationPlan> PlanCache::get_or_build(
-    const std::string& key, const std::function<CompilationPlan()>& build, bool* built) {
-    bool ran = false;
-    auto plan = cache_.get_or_compute(key, [&] {
-        ran = true;
-        return build();
-    });
-    // Plans are only cached when the build ran clean (a degraded build throws
-    // before reaching here), so no `cacheable` vetting is needed: every entry
-    // in the table is authoritative by construction.
-    if (built != nullptr) *built = ran;
-    return plan;
-}
-
-bool PlanCache::erase_if(const std::string& key,
-                         const std::shared_ptr<const CompilationPlan>& expected) {
-    return cache_.erase_if(key, expected);
-}
-
-std::shared_ptr<const CompilationPlan> PlanCache::peek(const std::string& key) const {
-    return cache_.peek(key);
-}
-
-void PlanCache::replace(const std::string& key, CompilationPlan plan) {
-    cache_.erase(key);
-    auto holder = std::make_shared<CompilationPlan>(std::move(plan));
-    cache_.get_or_compute(key, [&] { return std::move(*holder); });
-}
-
 } // namespace epoc::core

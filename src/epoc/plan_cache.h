@@ -1,27 +1,26 @@
-// Compilation plan cache: hoisting the structural pipeline stages out of the
-// variational iteration loop.
+// Compilation plan cache: hoisting the front end out of the variational
+// iteration loop.
 //
-// A CompilationPlan is everything about a compile that depends only on the
-// circuit's *structure* (circuit/structure.h): the ZX-optimized,
-// synthesized skeleton circuit with rotation angles replaced by slot
-// sentinels, the partition block count, the regroup block layout, and the
-// parameter-slot bindings needed to re-instantiate each of them from a fresh
-// angle vector. On a plan hit, compile() skips ZX, partitioning, synthesis
-// and regrouping entirely — it binds the new angles into the skeleton and
-// the stored block layout and goes straight to pulse generation.
+// A CompilationPlan is the part of a compile that depends only on the
+// circuit's *structure* (circuit/structure.h) and is expensive: the ZX-
+// optimized, synthesized skeleton circuit with rotation angles replaced by
+// slot sentinels, plus the bindings that put a fresh angle vector back in. On
+// a plan hit, compile() binds the new angles into the skeleton in place of
+// running ZX, partitioning and synthesis, then runs the same pulse stage as a
+// cold compile — regroup (a structural pass costing microseconds), its
+// oracle, and both pulse arms. Regroup and partition read only gate kinds and
+// qubits, so the bound skeleton regroups exactly as the sentinel one would.
 //
 // Reuse safety follows the repo's established cache rules:
 //   * Keys come from strip_parameters(): any structural edit changes the
 //     key, so a plan can never be applied to a different wiring.
-//   * Only clean builds are cached. A build that degrades (deadline expiry,
-//     an injected fault, a failed stage audit) throws instead of returning,
-//     the single-flight slot is erased, and the compile falls back to the
-//     ordinary cold pipeline — the cache-poisoning rule of the pulse and
-//     synthesis caches, applied to plans.
-//   * Every instantiation re-runs the regroup-layout stage oracle
-//     (verify::Verifier::check_plan_layout) before the plan's output is
-//     trusted, so a stale or doctored entry is detected, compare-and-evicted
-//     and rebuilt — never shipped.
+//   * Only clean builds are cached. A build whose front end degrades on any
+//     segment (deadline expiry, an injected fault, a failed stage audit)
+//     throws instead of returning, the single-flight slot is erased, and the
+//     compile falls back to the ordinary cold pipeline — the cache-poisoning
+//     rule of the pulse and synthesis caches, applied to plans.
+//   * The regroup oracle runs on every compile, plan hits included, over the
+//     bound skeleton.
 //
 // Warm-start state (the AccQOC-style GRAPE seeding of the satellite pulse
 // path) lives on the plan as *advisory* mutable slots keyed by block/gate
@@ -32,14 +31,9 @@
 #pragma once
 
 #include "circuit/structure.h"
-#include "partition/partition.h"
-#include "util/sharded_cache.h"
 
 #include <cstddef>
-#include <functional>
-#include <memory>
 #include <mutex>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -73,78 +67,28 @@ private:
     mutable std::unordered_map<std::size_t, std::vector<std::vector<double>>> slots_;
 };
 
-/// One regrouped pulse block of the plan: the structural block (its body
-/// carries slot sentinels where the input had angles) plus the bindings that
-/// turn a fresh angle vector back into a concrete block.
-struct PlanGroup {
-    partition::CircuitBlock block;
-    std::vector<circuit::ParamBinding> bindings;
-};
-
-/// The reusable product of the structural pipeline stages for one circuit
-/// structure. Immutable once cached except for the advisory warm-start slots.
+/// The reusable front-end product for one circuit structure, cached in a
+/// util::ShardedFlightCache<CompilationPlan> (single-flight: concurrent
+/// compiles of one structure run one build). Immutable once cached except
+/// for the advisory warm-start slots.
 struct CompilationPlan {
-    std::string key; ///< strip_parameters() structure key
-    int num_qubits = 0;
-    std::size_t num_slots = 0; ///< length of the angle vector the plan binds
-
     /// ZX-optimized + synthesized template circuit; parametric gates carry
     /// slot sentinels (circuit/structure.h) where the input had angles.
     circuit::Circuit skeleton{0};
-    /// Bindings into `skeleton` for the fine-grained pulse arm.
-    std::vector<circuit::ParamBinding> fine_bindings;
-    /// Regroup block layout over `skeleton` (empty when regrouping is off).
-    std::vector<PlanGroup> groups;
+    /// Bindings into `skeleton` for a fresh angle vector.
+    std::vector<circuit::ParamBinding> bindings;
 
     // Stage diagnostics frozen at build time (angle-independent by
     // construction, so every instantiation reports the same numbers a cold
     // compile of the same structure would).
-    int depth_original = 0;
     int depth_after_zx = 0;
     std::size_t partition_blocks = 0;
 
     // Advisory warm-start state, keyed by skeleton gate index (fine arm) and
-    // group index (regrouped arm). Mutable by design; see header comment.
+    // regroup block index (grouped arm). Mutable by design; see header
+    // comment.
     WarmSlots fine_warm;
     WarmSlots group_warm;
-};
-
-/// Structure-keyed, single-flight plan cache. A thin wrapper over
-/// ShardedFlightCache that adds the build-tracking and test hooks the
-/// pipeline and the plan test-battery need.
-class PlanCache {
-public:
-    explicit PlanCache(std::size_t num_shards = 8) : cache_(num_shards) {}
-
-    /// The plan for `key`, building it with `build` on a miss (single-flight:
-    /// concurrent compiles of one structure run one build). `built` (optional)
-    /// reports whether this call ran the build — the pipeline's plan_hit flag
-    /// is its negation. A throwing build erases the slot (the next compile
-    /// retries) and rethrows.
-    std::shared_ptr<const CompilationPlan> get_or_build(
-        const std::string& key, const std::function<CompilationPlan()>& build,
-        bool* built = nullptr);
-
-    /// Compare-and-evict (see ShardedFlightCache::erase_if): drop the entry
-    /// only while it still holds exactly `expected`. Of N compiles that saw
-    /// one stale plan, one wins the eviction and rebuilds; the rest wait on
-    /// the winner's replacement.
-    bool erase_if(const std::string& key,
-                  const std::shared_ptr<const CompilationPlan>& expected);
-
-    /// Lookup only; nullptr on miss. Does not touch the statistics.
-    std::shared_ptr<const CompilationPlan> peek(const std::string& key) const;
-
-    /// Overwrite the entry under `key` (test/maintenance hook: the verify
-    /// suite plants doctored plans to prove the instantiation oracle catches
-    /// them). Not part of the compile path.
-    void replace(const std::string& key, CompilationPlan plan);
-
-    std::size_t size() const { return cache_.size(); }
-    util::CacheStats stats() const { return cache_.stats(); }
-
-private:
-    util::ShardedFlightCache<CompilationPlan> cache_;
 };
 
 } // namespace epoc::core

@@ -1,4 +1,5 @@
-// Objective interface shared by the synthesis instantiater and GRAPE.
+// Objective interface of the L-BFGS optimizer (opt/lbfgs.h), which the
+// synthesis instantiater drives.
 #pragma once
 
 #include <functional>

@@ -50,124 +50,106 @@ std::string PulseLibrary::key_of(const BlockHamiltonian& h, const Matrix& m,
 std::shared_ptr<const LatencyResult> PulseLibrary::get_or_generate(
     const BlockHamiltonian& h, const Matrix& target, const LatencySearchOptions& opt) {
     const std::string key = key_of(h, target, opt);
-    // Waiter-retry loop. Single-flight publishes a degraded (non-authoritative)
-    // result to the callers that were blocked on the losing leader — a waiter
-    // must not hang just because the leader's deadline or token expired — and
-    // immediately evicts it. But a *healthy* waiter inheriting that value
-    // would ship another caller's degradation, so when our own budget is
-    // intact we re-enter the cache instead: the poisoned entry is already
-    // gone, and this caller recomputes (or joins a live leader) cleanly.
-    // Bounded so a pathological stream of dying leaders cannot spin forever.
-    constexpr int kWaiterRetries = 3;
-    for (int attempt = 0;; ++attempt) {
-        bool led = false;
-        std::shared_ptr<const LatencyResult> out = cache_.get_or_compute(
-            key,
-            [&] {
-                led = true;
-                // Single-flight: this body runs exactly once per entry, on the
-                // worker thread that won the miss — so the span lands under that
-                // worker's row, the counters aggregate the same totals for any
-                // thread count, and the store sees at most one read and one write
-                // per key however many threads raced here.
-                if (store_ != nullptr) {
-                    bool rejected = false;
-                    bool from_pack = false;
-                    if (std::optional<LatencyResult> stored =
-                            store_->load(key, &from_pack)) {
-                        if (!revalidator_ ||
-                            revalidator_(key, h, target, *stored, from_pack)) {
-                            // L2 hit: promote to memory verbatim. No GRAPE ran,
-                            // so none of the qoc.* generation counters move.
-                            store_hits_.fetch_add(1, std::memory_order_relaxed);
-                            if (from_pack) {
-                                store_pack_hits_.fetch_add(1,
-                                                           std::memory_order_relaxed);
-                                if (tracer_ != nullptr)
-                                    tracer_->add_counter("qoc.store_pack_promotions");
-                            }
+    // A waiter that inherits a degraded (non-authoritative) result from a
+    // losing leader re-enters the cache while its own budget is intact, so a
+    // healthy caller never ships another caller's degradation.
+    return cache_.get_or_compute_retrying(
+        key,
+        [&] {
+            // Single-flight: this body runs exactly once per entry, on the
+            // worker thread that won the miss — so the span lands under that
+            // worker's row, the counters aggregate the same totals for any
+            // thread count, and the store sees at most one read and one write
+            // per key however many threads raced here.
+            if (store_ != nullptr) {
+                bool rejected = false;
+                bool from_pack = false;
+                if (std::optional<LatencyResult> stored =
+                        store_->load(key, &from_pack)) {
+                    if (!revalidator_ ||
+                        revalidator_(key, h, target, *stored, from_pack)) {
+                        // L2 hit: promote to memory verbatim. No GRAPE ran,
+                        // so none of the qoc.* generation counters move.
+                        store_hits_.fetch_add(1, std::memory_order_relaxed);
+                        if (from_pack) {
+                            store_pack_hits_.fetch_add(1,
+                                                       std::memory_order_relaxed);
                             if (tracer_ != nullptr)
-                                tracer_->add_counter("qoc.store_promotions");
-                            return std::move(*stored);
+                                tracer_->add_counter("qoc.store_pack_promotions");
                         }
-                        // Revalidation rejected the entry: its bytes were intact
-                        // (the load passed the checksum) but its physics is
-                        // wrong. Quarantine it in the tier and fall through to
-                        // GRAPE exactly as if the probe had missed — but count it
-                        // *only* as a rejection: hits + misses + rejections must
-                        // partition the probes (the historical double count of
-                        // rejections as misses made per-tenant dashboards
-                        // irreconcilable: counted outcomes exceeded probes).
-                        rejected = true;
-                        store_rejected_.fetch_add(1, std::memory_order_relaxed);
                         if (tracer_ != nullptr)
-                            tracer_->add_counter("qoc.store_rejections");
-                        store_->invalidate(key);
+                            tracer_->add_counter("qoc.store_promotions");
+                        return std::move(*stored);
                     }
-                    if (!rejected) store_misses_.fetch_add(1, std::memory_order_relaxed);
+                    // Revalidation rejected the entry: its bytes were intact
+                    // (the load passed the checksum) but its physics is
+                    // wrong. Quarantine it in the tier and fall through to
+                    // GRAPE exactly as if the probe had missed — but count it
+                    // *only* as a rejection: hits + misses + rejections must
+                    // partition the probes (the historical double count of
+                    // rejections as misses made per-tenant dashboards
+                    // irreconcilable: counted outcomes exceeded probes).
+                    rejected = true;
+                    store_rejected_.fetch_add(1, std::memory_order_relaxed);
+                    if (tracer_ != nullptr)
+                        tracer_->add_counter("qoc.store_rejections");
+                    store_->invalidate(key);
                 }
-                util::Tracer::Span span;
-                if (tracer_ != nullptr)
-                    span = tracer_->span("grape " + std::to_string(h.num_qubits) + "q g" +
-                                             std::to_string(opt.slot_granularity),
-                                         "qoc");
-                LatencyResult res = find_minimal_latency_pulse(h, target, opt);
-                if (tracer_ != nullptr) {
-                    tracer_->add_counter("qoc.grape_runs",
-                                         static_cast<std::uint64_t>(res.grape_runs));
+                if (!rejected) store_misses_.fetch_add(1, std::memory_order_relaxed);
+            }
+            util::Tracer::Span span;
+            if (tracer_ != nullptr)
+                span = tracer_->span("grape " + std::to_string(h.num_qubits) + "q g" +
+                                         std::to_string(opt.slot_granularity),
+                                     "qoc");
+            LatencyResult res = find_minimal_latency_pulse(h, target, opt);
+            if (tracer_ != nullptr) {
+                tracer_->add_counter("qoc.grape_runs",
+                                     static_cast<std::uint64_t>(res.grape_runs));
+                tracer_->add_counter(
+                    "qoc.grape_iterations",
+                    static_cast<std::uint64_t>(res.pulse.grape_iterations));
+                tracer_->add_counter("qoc.pulse_slots",
+                                     static_cast<std::uint64_t>(res.pulse.num_slots()));
+                if (!res.feasible) tracer_->add_counter("qoc.infeasible_searches");
+                if (res.pulse.warm_start_mismatch)
+                    tracer_->add_counter("qoc.warm_start_mismatches");
+                if (res.pulse.nonfinite_reseeds > 0)
                     tracer_->add_counter(
-                        "qoc.grape_iterations",
-                        static_cast<std::uint64_t>(res.pulse.grape_iterations));
-                    tracer_->add_counter("qoc.pulse_slots",
-                                         static_cast<std::uint64_t>(res.pulse.num_slots()));
-                    if (!res.feasible) tracer_->add_counter("qoc.infeasible_searches");
-                    if (res.pulse.warm_start_mismatch)
-                        tracer_->add_counter("qoc.warm_start_mismatches");
-                    if (res.pulse.nonfinite_reseeds > 0)
-                        tracer_->add_counter(
-                            "qoc.grape_reseeds",
-                            static_cast<std::uint64_t>(res.pulse.nonfinite_reseeds));
-                    if (res.pulse.nonfinite_aborted)
-                        tracer_->add_counter("qoc.grape_nonfinite_aborts");
-                    if (res.timed_out) tracer_->add_counter("qoc.timed_out_searches");
-                    if (!res.authoritative())
-                        tracer_->add_counter("robust.uncached_degraded_pulses");
+                        "qoc.grape_reseeds",
+                        static_cast<std::uint64_t>(res.pulse.nonfinite_reseeds));
+                if (res.pulse.nonfinite_aborted)
+                    tracer_->add_counter("qoc.grape_nonfinite_aborts");
+                if (res.timed_out) tracer_->add_counter("qoc.timed_out_searches");
+                if (!res.authoritative())
+                    tracer_->add_counter("robust.uncached_degraded_pulses");
+            }
+            // Write-back: only authoritative results reach disk — the same
+            // poisoning rule the `cacheable` predicate enforces for memory,
+            // applied before the entry can outlive the process. Warm-started
+            // results additionally stay process-local: their trajectory
+            // depended on seed amplitudes the key does not encode, so
+            // persisting them would hand a later cold process a
+            // seed-dependent pulse under a seed-independent key.
+            if (store_ != nullptr && res.authoritative()) {
+                if (res.pulse.warm_start_applied) {
+                    store_warm_skipped_.fetch_add(1, std::memory_order_relaxed);
+                    if (tracer_ != nullptr)
+                        tracer_->add_counter("qoc.store_warm_skips");
+                } else {
+                    store_->store(key, res);
+                    store_writes_.fetch_add(1, std::memory_order_relaxed);
                 }
-                // Write-back: only authoritative results reach disk — the same
-                // poisoning rule the `cacheable` predicate enforces for memory,
-                // applied before the entry can outlive the process. Warm-started
-                // results additionally stay process-local: their trajectory
-                // depended on seed amplitudes the key does not encode, so
-                // persisting them would hand a later cold process a
-                // seed-dependent pulse under a seed-independent key.
-                if (store_ != nullptr && res.authoritative()) {
-                    if (res.pulse.warm_start_applied) {
-                        store_warm_skipped_.fetch_add(1, std::memory_order_relaxed);
-                        if (tracer_ != nullptr)
-                            tracer_->add_counter("qoc.store_warm_skips");
-                    } else {
-                        store_->store(key, res);
-                        store_writes_.fetch_add(1, std::memory_order_relaxed);
-                    }
-                }
-                return res;
-            },
-            // Cache-poisoning rule: degraded results are handed to the caller
-            // but evicted, so a later compile with slack (or without injected
-            // faults) re-attempts instead of being served a degraded "hit".
-            [](const LatencyResult& r) { return r.authoritative(); });
-        if (led || out->authoritative()) return out;
-        // Inherited degradation. Ship it anyway when our own budget is the
-        // problem too (re-attempting could only burn what little remains),
-        // or when the retry budget is gone.
-        const bool budget_alive = opt.deadline == nullptr || !opt.deadline->expired();
-        if (!budget_alive || attempt >= kWaiterRetries) return out;
-        // Belt-and-braces: the leader evicts its own degraded value, but make
-        // the retry self-sufficient — compare-and-evict is a no-op when the
-        // eviction already happened or the slot was replaced.
-        cache_.erase_if(key, out);
-        if (tracer_ != nullptr) tracer_->add_counter("qoc.waiter_retries");
-    }
+            }
+            return res;
+        },
+        // Cache-poisoning rule: degraded results are handed to the caller
+        // but evicted, so a later compile with slack (or without injected
+        // faults) re-attempts instead of being served a degraded "hit".
+        [](const LatencyResult& r) { return r.authoritative(); }, opt.deadline,
+        [&] {
+            if (tracer_ != nullptr) tracer_->add_counter("qoc.waiter_retries");
+        });
 }
 
 std::shared_ptr<const LatencyResult> PulseLibrary::regenerate(

@@ -1,11 +1,10 @@
 #include "store/pack.h"
 
 #include "qoc/pulse_io.h"
+#include "store/file_io.h"
 #include "util/fault_injection.h"
 
 #include <algorithm>
-#include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <fstream>
 
@@ -20,6 +19,10 @@ namespace epoc::store {
 
 namespace {
 
+using detail::is_disk_full_errno;
+using detail::kMaxKeyBytes;
+using detail::write_file_synced;
+
 constexpr char kPackMagic[8] = {'E', 'P', 'O', 'C', 'P', 'A', 'C', 'K'};
 constexpr std::uint32_t kPackVersion = 1;
 /// Header: magic + version + entry count + index offset.
@@ -30,9 +33,6 @@ constexpr std::uint64_t kIndexRowSize = 24;
 constexpr std::uint64_t kTrailerSize = 16;
 /// Smallest possible record: empty key + empty payload + checksum.
 constexpr std::uint64_t kMinRecordSize = 8 + 8 + 8;
-/// Keys are generated cache-key strings; a length beyond this is garbage
-/// (mirrors the loose store's cap).
-constexpr std::uint64_t kMaxKeyBytes = 1ull << 24;
 
 std::uint64_t read_u64(const unsigned char* p) {
     std::uint64_t v = 0;
@@ -46,45 +46,8 @@ std::uint32_t read_u32(const unsigned char* p) {
     return v;
 }
 
-bool is_disk_full_errno(int err) {
-    return err == ENOSPC || err == EROFS || err == EACCES || err == EPERM
-#ifdef EDQUOT
-           || err == EDQUOT
-#endif
-        ;
-}
-
 void set_error(std::string* error, const std::string& what) {
     if (error != nullptr) *error = what;
-}
-
-/// Durable write + fsync, mirroring the loose store's publish discipline.
-bool write_file_synced(const std::filesystem::path& p, const std::string& bytes,
-                       int& err) {
-    errno = 0;
-    std::FILE* f = std::fopen(p.c_str(), "wb");
-    if (f == nullptr) {
-        err = errno;
-        return false;
-    }
-    bool ok = bytes.empty() ||
-              std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size();
-    if (!ok) err = errno;
-    if (std::fflush(f) != 0) {
-        if (ok) err = errno;
-        ok = false;
-    }
-#ifdef __unix__
-    if (::fsync(::fileno(f)) != 0) {
-        if (ok) err = errno;
-        ok = false;
-    }
-#endif
-    if (std::fclose(f) != 0) {
-        if (ok) err = errno;
-        ok = false;
-    }
-    return ok;
 }
 
 } // namespace

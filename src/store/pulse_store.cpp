@@ -1,12 +1,12 @@
 #include "store/pulse_store.h"
 
 #include "qoc/pulse_io.h"
+#include "store/file_io.h"
 #include "util/fault_injection.h"
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -21,6 +21,9 @@ namespace epoc::store {
 
 namespace {
 
+using detail::is_disk_full_errno;
+using detail::write_file_synced;
+
 constexpr char kMagic[8] = {'E', 'P', 'O', 'C', 'P', 'U', 'L', 'S'};
 constexpr std::uint32_t kFormatVersion = 1;
 constexpr const char* kEntrySuffix = ".pulse";
@@ -34,8 +37,6 @@ constexpr auto kStaleTempAge = std::chrono::minutes(10);
 /// Minimum entry size: magic + version + key length + payload length +
 /// checksum around an empty key and payload.
 constexpr std::uint64_t kMinEntrySize = 8 + 4 + 8 + 8 + 8;
-/// Keys are short generated strings; a length field beyond this is garbage.
-constexpr std::uint64_t kMaxKeyBytes = 1ull << 24;
 
 std::uint64_t process_id() {
 #ifdef __unix__
@@ -56,45 +57,33 @@ std::optional<std::string> slurp(const std::filesystem::path& p) {
     return bytes;
 }
 
-/// Durably write `bytes` to `p` (fsync before close, so a crash after the
-/// subsequent rename cannot publish a file whose data never hit the disk).
-/// On failure `err` holds the errno of the first failing step.
-bool write_file_synced(const std::filesystem::path& p, const std::string& bytes,
-                       int& err) {
-    errno = 0;
-    std::FILE* f = std::fopen(p.c_str(), "wb");
-    if (f == nullptr) {
-        err = errno;
-        return false;
-    }
-    bool ok = bytes.empty() ||
-              std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size();
-    if (!ok) err = errno;
-    if (std::fflush(f) != 0) {
-        if (ok) err = errno;
-        ok = false;
-    }
-#ifdef __unix__
-    if (::fsync(::fileno(f)) != 0) {
-        if (ok) err = errno;
-        ok = false;
-    }
-#endif
-    if (std::fclose(f) != 0) {
-        if (ok) err = errno;
-        ok = false;
-    }
-    return ok;
-}
-
-/// ENOSPC-class: failures that mean "this filesystem will keep refusing
-/// writes" — retrying per-compile only burns syscalls and log lines.
-bool is_disk_full_errno(int err) {
-    return err == ENOSPC || err == EROFS || err == EACCES || err == EPERM
-#ifdef EDQUOT
-           || err == EDQUOT
-#endif
-        ;
+/// A loose entry's (key, payload) after the framing checks: size, magic,
+/// version, key length, whole-file checksum, payload length. Empty optional
+/// when any fails. Neither the key's identity nor the payload's codec is
+/// checked here.
+std::optional<PackEntry> parse_entry(const std::string& bytes) {
+    // Structure before integrity: a version mismatch is detected before the
+    // checksum so future format revisions are reported as such even if they
+    // also moved the trailer.
+    if (bytes.size() < kMinEntrySize) return std::nullopt;
+    if (std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) return std::nullopt;
+    qoc::ByteReader in(bytes.data() + sizeof(kMagic), bytes.size() - sizeof(kMagic) - 8);
+    std::uint32_t version;
+    std::uint64_t key_len;
+    if (!in.get_u32(version) || version != kFormatVersion) return std::nullopt;
+    if (!in.get_u64(key_len) || key_len > detail::kMaxKeyBytes || key_len > in.remaining())
+        return std::nullopt;
+    qoc::ByteReader trailer(bytes.data() + bytes.size() - 8, 8);
+    std::uint64_t checksum;
+    trailer.get_u64(checksum);
+    if (qoc::fnv1a64(bytes.data(), bytes.size() - 8) != checksum) return std::nullopt;
+    PackEntry e;
+    std::uint64_t payload_len;
+    if (!in.get_bytes(e.key, static_cast<std::size_t>(key_len)) || !in.get_u64(payload_len) ||
+        payload_len != in.remaining() ||
+        !in.get_bytes(e.payload, static_cast<std::size_t>(payload_len)))
+        return std::nullopt;
+    return e;
 }
 
 bool is_entry_file(const std::filesystem::directory_entry& e) {
@@ -330,30 +319,10 @@ std::optional<qoc::LatencyResult> PulseStore::load_impl(const std::string& key,
         return probe_packs();
     };
 
-    // Header checks in diagnosis order: structure, then integrity, then
-    // identity. A version mismatch is detected before the checksum so future
-    // format revisions are reported as such even if they also moved the
-    // trailer.
-    if (bytes->size() < kMinEntrySize) return corrupt();
-    if (std::memcmp(bytes->data(), kMagic, sizeof(kMagic)) != 0) return corrupt();
-    qoc::ByteReader header(bytes->data() + sizeof(kMagic),
-                           bytes->size() - sizeof(kMagic));
-    std::uint32_t version;
-    std::uint64_t key_len;
-    if (!header.get_u32(version)) return corrupt();
-    if (version != kFormatVersion) return corrupt();
-    if (!header.get_u64(key_len) || key_len > kMaxKeyBytes ||
-        key_len > header.remaining())
-        return corrupt();
-
-    qoc::ByteReader trailer(bytes->data() + bytes->size() - 8, 8);
-    std::uint64_t checksum;
-    trailer.get_u64(checksum);
-    if (qoc::fnv1a64(bytes->data(), bytes->size() - 8) != checksum) return corrupt();
-
-    const char* key_begin = bytes->data() + sizeof(kMagic) + 4 + 8;
-    if (key.size() != key_len ||
-        std::memcmp(key_begin, key.data(), static_cast<std::size_t>(key_len)) != 0) {
+    // Framing (structure, then integrity), then identity, then the codec.
+    const std::optional<PackEntry> entry = parse_entry(*bytes);
+    if (!entry) return corrupt();
+    if (entry->key != key) {
         // Hash collision: a *valid* entry for some other key lives at our
         // content address. It is not corrupt — leave it in place (last
         // writer wins the name; see header) and report a miss for the loose
@@ -365,16 +334,7 @@ std::optional<qoc::LatencyResult> PulseStore::load_impl(const std::string& key,
         }
         return probe_packs();
     }
-
-    qoc::ByteReader body(key_begin + key_len,
-                         bytes->size() - (sizeof(kMagic) + 4 + 8) -
-                             static_cast<std::size_t>(key_len) - 8);
-    std::uint64_t payload_len;
-    if (!body.get_u64(payload_len) || payload_len != body.remaining())
-        return corrupt();
-    const std::string payload(key_begin + key_len + 8,
-                              static_cast<std::size_t>(payload_len));
-    std::optional<qoc::LatencyResult> result = qoc::decode_latency_result(payload);
+    std::optional<qoc::LatencyResult> result = qoc::decode_latency_result(entry->payload);
     if (!result) return corrupt();
 
     // LRU touch: a hit makes the entry recent, so hot pulses survive
@@ -387,34 +347,11 @@ std::optional<qoc::LatencyResult> PulseStore::load_impl(const std::string& key,
 
 std::optional<PackEntry> PulseStore::read_entry_file(const std::filesystem::path& p) {
     const std::optional<std::string> bytes = slurp(p);
-    if (!bytes || bytes->size() < kMinEntrySize) return std::nullopt;
-    if (std::memcmp(bytes->data(), kMagic, sizeof(kMagic)) != 0) return std::nullopt;
-    qoc::ByteReader header(bytes->data() + sizeof(kMagic),
-                           bytes->size() - sizeof(kMagic));
-    std::uint32_t version;
-    std::uint64_t key_len;
-    if (!header.get_u32(version) || version != kFormatVersion) return std::nullopt;
-    if (!header.get_u64(key_len) || key_len > kMaxKeyBytes ||
-        key_len > header.remaining())
-        return std::nullopt;
-    qoc::ByteReader trailer(bytes->data() + bytes->size() - 8, 8);
-    std::uint64_t checksum;
-    trailer.get_u64(checksum);
-    if (qoc::fnv1a64(bytes->data(), bytes->size() - 8) != checksum)
-        return std::nullopt;
-    const char* key_begin = bytes->data() + sizeof(kMagic) + 4 + 8;
-    qoc::ByteReader body(key_begin + key_len,
-                         bytes->size() - (sizeof(kMagic) + 4 + 8) -
-                             static_cast<std::size_t>(key_len) - 8);
-    std::uint64_t payload_len;
-    if (!body.get_u64(payload_len) || payload_len != body.remaining())
-        return std::nullopt;
-    PackEntry e;
-    e.key.assign(key_begin, static_cast<std::size_t>(key_len));
-    e.payload.assign(key_begin + key_len + 8, static_cast<std::size_t>(payload_len));
+    if (!bytes) return std::nullopt;
+    std::optional<PackEntry> e = parse_entry(*bytes);
     // The payload must decode: a pack must never be built from an entry the
     // reader would reject, or `verify` and `extract` break on a good pack.
-    if (!qoc::decode_latency_result(e.payload)) return std::nullopt;
+    if (!e || !qoc::decode_latency_result(e->payload)) return std::nullopt;
     return e;
 }
 

@@ -21,6 +21,8 @@
 // the same mutex.
 #pragma once
 
+#include "util/deadline.h"
+
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
@@ -145,6 +147,40 @@ public:
         }
         if (slot->error) std::rethrow_exception(slot->error);
         return slot->value;
+    }
+
+    /// Re-entries get_or_compute_retrying() allows a blocked waiter.
+    static constexpr int kWaiterRetries = 3;
+
+    /// get_or_compute() for a caller that must not ship another caller's
+    /// degradation. Single-flight hands a value `cacheable` rejects to every
+    /// waiter blocked on the slot, then evicts it. A waiter whose own
+    /// `deadline` (nullptr: none) has not expired re-enters the cache
+    /// instead, recomputing or joining a live leader, at most kWaiterRetries
+    /// times, calling `on_retry` before each re-entry. The leader, a waiter
+    /// whose deadline has expired (re-attempting could only burn what little
+    /// remains) and a waiter out of retries return what they got.
+    std::shared_ptr<const V> get_or_compute_retrying(
+        const std::string& key, const std::function<V()>& make,
+        const std::function<bool(const V&)>& cacheable, const Deadline* deadline,
+        const std::function<void()>& on_retry) {
+        for (int attempt = 0;; ++attempt) {
+            bool led = false;
+            std::shared_ptr<const V> out = get_or_compute(
+                key,
+                [&] {
+                    led = true;
+                    return make();
+                },
+                cacheable);
+            if (led || cacheable(*out)) return out;
+            if ((deadline != nullptr && deadline->expired()) || attempt >= kWaiterRetries)
+                return out;
+            // The leader evicts its own degraded value; compare-and-evict
+            // makes the retry self-sufficient and is a no-op otherwise.
+            erase_if(key, out);
+            on_retry();
+        }
     }
 
     /// Drop the entry under `key` so the next lookup recomputes. Safe against

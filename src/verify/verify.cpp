@@ -238,14 +238,6 @@ Outcome Verifier::check_blocks_equiv(const circuit::Circuit& segment,
     }
 }
 
-Outcome Verifier::check_plan_layout(const circuit::Circuit& bound_skeleton,
-                                    const std::vector<partition::CircuitBlock>& groups) {
-    // Deliberately the same oracle (and the same verify.equiv fault site) as
-    // a cold compile's regroup check: a plan hit earns no weaker audit than
-    // the stages it skips.
-    return check_blocks_equiv(bound_skeleton, groups, "plan");
-}
-
 Outcome Verifier::check_synthesized_block(const linalg::Matrix& target,
                                           const circuit::Circuit& local,
                                           double distance_tol) {

@@ -179,15 +179,6 @@ public:
                                const std::vector<partition::CircuitBlock>& blocks,
                                const char* what);
 
-    /// Oracle for plan-cache instantiation (epoc/plan_cache.h): the bound
-    /// regroup layout recovered from a cached CompilationPlan must reproduce
-    /// the bound skeleton circuit. The same blocks oracle a cold compile runs
-    /// over its freshly-regrouped blocks, pointed at reused ones — a stale or
-    /// doctored plan entry fails here and is evicted and rebuilt instead of
-    /// shipped. Traced under "plan".
-    Outcome check_plan_layout(const circuit::Circuit& bound_skeleton,
-                              const std::vector<partition::CircuitBlock>& groups);
-
     /// Oracle: the synthesized local circuit realises `target` within
     /// `distance_tol` (phase-invariant distance; pass the synthesis
     /// threshold with slack).

@@ -1,4 +1,3 @@
-#include "opt/adam.h"
 #include "opt/lbfgs.h"
 
 #include <gtest/gtest.h>
@@ -58,37 +57,6 @@ TEST(Lbfgs, AlreadyAtMinimum) {
     const auto res = lbfgs_minimize(bowl, {0.0, 1.0, 2.0});
     EXPECT_TRUE(res.converged);
     EXPECT_NEAR(res.value, 0.0, 1e-12);
-}
-
-TEST(Adam, SolvesQuadraticBowl) {
-    AdamOptions opt;
-    opt.max_iterations = 3000;
-    opt.learning_rate = 0.1;
-    const auto res = adam_minimize(bowl, {4.0, -2.0}, opt);
-    EXPECT_NEAR(res.x[0], 0.0, 1e-2);
-    EXPECT_NEAR(res.x[1], 1.0, 1e-2);
-}
-
-TEST(Adam, TargetValueStopsEarly) {
-    AdamOptions opt;
-    opt.target_value = 0.5;
-    opt.max_iterations = 10000;
-    opt.learning_rate = 0.2;
-    const auto res = adam_minimize(bowl, {30.0}, opt);
-    EXPECT_TRUE(res.converged);
-    EXPECT_LE(res.value, 0.5 + 1e-9);
-}
-
-TEST(Adam, KeepsBestIterate) {
-    // Even with an oversized learning rate the returned point must be the
-    // best seen, never worse than the start.
-    AdamOptions opt;
-    opt.learning_rate = 5.0;
-    opt.max_iterations = 50;
-    std::vector<double> g;
-    const double f0 = bowl({7.0}, g);
-    const auto res = adam_minimize(bowl, {7.0}, opt);
-    EXPECT_LE(res.value, f0);
 }
 
 } // namespace

@@ -1,11 +1,14 @@
 // Property tests for the compilation plan cache (epoc/plan_cache.h) and its
 // keying substrate (circuit/structure.h): structure keys must be invariant
 // under angle changes and sensitive to every structural edit, and a plan-hit
-// compile must be bit-identical to a cold compile of the same angles.
+// compile must be bit-identical to a cold compile of the same angles — on a
+// backend too, and under faults at the front-end and regroup sites.
+#include "backend/backend.h"
 #include "circuit/structure.h"
 #include "epoc/export.h"
 #include "epoc/pipeline.h"
 #include "qoc/pulse_io.h"
+#include "util/fault_injection.h"
 
 #include "bench_circuits/generators.h"
 
@@ -13,6 +16,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 namespace {
 
@@ -42,6 +46,27 @@ Circuit qaoa2(double gamma, double beta) {
 
 std::uint64_t digest(const PulseSchedule& s) {
     return epoc::qoc::fnv1a64(schedule_to_json(s));
+}
+
+struct FaultGuard {
+    explicit FaultGuard(const std::string& spec) { epoc::util::fault::configure(spec); }
+    ~FaultGuard() { epoc::util::fault::clear(); }
+};
+
+/// "stage index [label] cause[ fallback]", one per report, synthesis rows
+/// left out: synthesis is the work a plan caches, so plan compiles report
+/// none of it.
+std::vector<std::string> reports_past_synthesis(const EpocResult& r) {
+    std::vector<std::string> out;
+    for (const BlockReport& br : r.block_reports) {
+        if (br.stage == epoc::util::Stage::synthesis) continue;
+        std::string s = std::string(epoc::util::stage_name(br.stage)) + " " +
+                        std::to_string(br.index) + " [" + br.label + "] " +
+                        epoc::util::cause_name(br.status.cause);
+        if (br.status.fallback_taken) s += " fallback";
+        out.push_back(std::move(s));
+    }
+    return out;
 }
 
 TEST(StructureKey, AngleChangesKeepTheKeyAndMoveTheParams) {
@@ -145,14 +170,24 @@ TEST(PlanCache, SecondCompileOfAStructureIsAPlanHit) {
 TEST(PlanCache, PlanHitBitIdenticalToColdCompileAcrossThreadCounts) {
     // The reuse contract: a plan-hit compile at angles theta must produce the
     // exact schedule a fresh compiler (which builds the plan itself) produces
-    // at theta — for every thread count. Warm starting is off: it is the one
-    // deliberately iteration-dependent knob (advisory seeds), and this test
-    // pins the reproducible path.
+    // at theta — for every thread count, with and without a backend. Warm
+    // starting is off: it is the one deliberately iteration-dependent knob
+    // (advisory seeds), and this test pins the reproducible path.
+    const epoc::backend::BackendRegistry registry;
+    for (const std::string backend : {"", "linear-5"})
     for (const int threads : {1, 2, 8}) {
+        SCOPED_TRACE("backend=" + backend);
         EpocOptions opt = cheap_options();
         opt.plan_cache = true;
         opt.plan_warm_start = false;
         opt.num_threads = threads;
+        if (!backend.empty()) {
+            opt.backend = registry.find(backend);
+            ASSERT_NE(opt.backend, nullptr);
+            // 2-qubit blocks keep the device-resolved GRAPE runs cheap.
+            opt.partition.max_qubits = 2;
+            opt.regroup_opt.max_qubits = 2;
+        }
 
         EpocCompiler warmed(opt);
         (void)warmed.compile(qaoa2(0.4, 0.9)); // builds the plan
@@ -173,20 +208,33 @@ TEST(PlanCache, PlanHitBitIdenticalToColdCompileAcrossThreadCounts) {
 
 TEST(PlanCache, AngleFreeCircuitMatchesThePlanlessPipeline) {
     // With no parametric gates the single param-free segment is the whole
-    // circuit, so the plan path must reproduce the ordinary pipeline exactly.
-    EpocOptions opt = cheap_options();
-    EpocCompiler plain(opt);
-    const EpocResult off = plain.compile(epoc::bench::ghz(3));
+    // circuit, so the plan path must reproduce the ordinary pipeline exactly:
+    // clean, and under a fault at each front-end stage and at regroup. A
+    // build whose front end degrades is not cached and goes cold; a clean
+    // build and its hits regroup in the pulse stage, as a cold compile does.
+    for (const std::string fault : {"", "zx.fail=*", "partition.fail=*", "regroup.fail=*"}) {
+        SCOPED_TRACE("fault=" + fault);
+        const FaultGuard g(fault);
+        EpocOptions opt = cheap_options();
+        EpocCompiler plain(opt);
+        const EpocResult off = plain.compile(epoc::bench::ghz(3));
 
-    opt.plan_cache = true;
-    opt.plan_warm_start = false;
-    EpocCompiler planned(opt);
-    const EpocResult build = planned.compile(epoc::bench::ghz(3));
-    const EpocResult hit = planned.compile(epoc::bench::ghz(3));
-
-    EXPECT_TRUE(hit.plan_hit);
-    EXPECT_EQ(digest(off.schedule), digest(build.schedule));
-    EXPECT_EQ(digest(off.schedule), digest(hit.schedule));
+        opt.plan_cache = true;
+        opt.plan_warm_start = false;
+        EpocCompiler planned(opt);
+        std::vector<EpocResult> plan_path{planned.compile(epoc::bench::ghz(3))};
+        const bool front_end_fault = fault == "zx.fail=*" || fault == "partition.fail=*";
+        EXPECT_EQ(planned.plan_cache().size(), front_end_fault ? 0u : 1u);
+        if (!front_end_fault) {
+            plan_path.push_back(planned.compile(epoc::bench::ghz(3)));
+            EXPECT_TRUE(plan_path.back().plan_hit);
+        }
+        for (const EpocResult& r : plan_path) {
+            EXPECT_EQ(reports_past_synthesis(r), reports_past_synthesis(off));
+            EXPECT_EQ(digest(r.schedule), digest(off.schedule));
+            EXPECT_EQ(r.degraded, !fault.empty());
+        }
+    }
 }
 
 } // namespace

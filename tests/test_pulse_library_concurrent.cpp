@@ -7,10 +7,16 @@
 //   * reference stability: a result handed out before the table grows past
 //     its load factor (rehash!) must stay valid and unchanged -- the
 //     historical API returned a reference into the unordered_map, which a
-//     concurrent rehash could dangle.
+//     concurrent rehash could dangle;
+//   * waiter retry (util::ShardedFlightCache::get_or_compute_retrying, the
+//     rule under both the pulse library and the synthesis cache): a waiter
+//     never ships a degraded value it only inherited while its own budget
+//     is intact.
 #include "qoc/pulse_library.h"
 
 #include "circuit/gate.h"
+#include "util/deadline.h"
+#include "util/sharded_cache.h"
 
 #include <gtest/gtest.h>
 
@@ -169,6 +175,60 @@ TEST(PulseLibraryConcurrent, PeekNeverBlocksOrGenerates) {
     ASSERT_NE(p, nullptr);
     EXPECT_GT(p->pulse.num_slots(), 0);
     EXPECT_EQ(lib.stats().hits, 0u); // peek leaves the stats alone
+}
+
+/// Parks one waiter on a leader's slot, then lets the leader publish a value
+/// `cacheable` rejects (-1: the degraded result of the leader's own budget).
+/// Returns what the waiter's get_or_compute_retrying() shipped, how often
+/// the waiter computed, and how often it re-entered the cache.
+struct WaiterOutcome {
+    int value = 0;
+    int computed = 0;
+    int retries = 0;
+};
+
+WaiterOutcome inherit_degraded_value(const epoc::util::Deadline& waiter_deadline) {
+    epoc::util::ShardedFlightCache<int> cache;
+    const auto cacheable = [](const int& v) { return v >= 0; };
+    std::atomic<bool> leading{false};
+    std::thread leader([&] {
+        (void)cache.get_or_compute(
+            "k",
+            [&] {
+                leading = true;
+                // Publish only once the waiter is blocked on this slot.
+                while (cache.stats().waits == 0) std::this_thread::yield();
+                return -1;
+            },
+            cacheable);
+    });
+    while (!leading) std::this_thread::yield();
+    WaiterOutcome out;
+    out.value = *cache.get_or_compute_retrying(
+        "k",
+        [&] {
+            ++out.computed;
+            return 7;
+        },
+        cacheable, &waiter_deadline, [&] { ++out.retries; });
+    leader.join();
+    return out;
+}
+
+TEST(FlightCacheWaiterRetry, WaiterWithBudgetLeftRecomputes) {
+    const epoc::util::Deadline alive = epoc::util::Deadline::after_ms(600000.0);
+    const WaiterOutcome out = inherit_degraded_value(alive);
+    EXPECT_EQ(out.value, 7);
+    EXPECT_EQ(out.computed, 1);
+    EXPECT_EQ(out.retries, 1);
+}
+
+TEST(FlightCacheWaiterRetry, WaiterPastItsDeadlineShipsTheInheritedValue) {
+    const epoc::util::Deadline expired = epoc::util::Deadline::after_ms(0.0);
+    const WaiterOutcome out = inherit_degraded_value(expired);
+    EXPECT_EQ(out.value, -1);
+    EXPECT_EQ(out.computed, 0);
+    EXPECT_EQ(out.retries, 0);
 }
 
 } // namespace
