@@ -5,8 +5,8 @@
 // library), both attached to the SAME store directory:
 //
 //   run 1 (cold)  — must see ZERO store hits even though earlier backends
-//                   already populated the directory: the backend fingerprint
-//                   is part of every store key, so entries never leak across
+//                   already populated the directory: the backend name is
+//                   part of every store key, so entries never leak across
 //                   devices (a linear-5 pulse replayed on heavy-hex-7 would
 //                   be silently wrong — different couplers, different
 //                   Hamiltonian);

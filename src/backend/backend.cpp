@@ -4,81 +4,14 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cmath>
-#include <iomanip>
 #include <sstream>
 #include <stdexcept>
 
 namespace epoc::backend {
 
-using linalg::cplx;
 using linalg::Matrix;
 
 namespace {
-
-std::size_t ipow(int base, int exp) {
-    std::size_t r = 1;
-    for (int i = 0; i < exp; ++i) r *= static_cast<std::size_t>(base);
-    return r;
-}
-
-/// Single-site operator embedded at local position `pos` of an n-site,
-/// L-level register, little-endian (site 0 = least-significant digit) — the
-/// same ordering circuit::embed_gate uses for L == 2.
-Matrix op_at(const Matrix& op, int pos, int n, int levels) {
-    const std::size_t dim = ipow(levels, n);
-    const std::size_t stride = ipow(levels, pos);
-    const std::size_t block = stride * static_cast<std::size_t>(levels);
-    Matrix m = Matrix::zeros(dim, dim);
-    for (std::size_t high = 0; high < dim / block; ++high)
-        for (std::size_t low = 0; low < stride; ++low) {
-            const std::size_t base = high * block + low;
-            for (int a = 0; a < levels; ++a)
-                for (int b = 0; b < levels; ++b)
-                    m(base + static_cast<std::size_t>(a) * stride,
-                      base + static_cast<std::size_t>(b) * stride) =
-                        op(static_cast<std::size_t>(a), static_cast<std::size_t>(b));
-        }
-    return m;
-}
-
-/// Ladder-derived drive quadratures and Z; reduce to the Paulis at L == 2.
-Matrix x_op(int levels) {
-    Matrix m = Matrix::zeros(static_cast<std::size_t>(levels),
-                             static_cast<std::size_t>(levels));
-    for (int k = 1; k < levels; ++k) {
-        const double amp = std::sqrt(static_cast<double>(k));
-        m(static_cast<std::size_t>(k - 1), static_cast<std::size_t>(k)) = cplx{amp, 0.0};
-        m(static_cast<std::size_t>(k), static_cast<std::size_t>(k - 1)) = cplx{amp, 0.0};
-    }
-    return m;
-}
-
-Matrix y_op(int levels) {
-    Matrix m = Matrix::zeros(static_cast<std::size_t>(levels),
-                             static_cast<std::size_t>(levels));
-    for (int k = 1; k < levels; ++k) {
-        const double amp = std::sqrt(static_cast<double>(k));
-        m(static_cast<std::size_t>(k - 1), static_cast<std::size_t>(k)) = cplx{0.0, -amp};
-        m(static_cast<std::size_t>(k), static_cast<std::size_t>(k - 1)) = cplx{0.0, amp};
-    }
-    return m;
-}
-
-Matrix z_op(int levels) {
-    Matrix m = Matrix::zeros(static_cast<std::size_t>(levels),
-                             static_cast<std::size_t>(levels));
-    for (int k = 0; k < levels; ++k)
-        m(static_cast<std::size_t>(k), static_cast<std::size_t>(k)) =
-            cplx{1.0 - 2.0 * k, 0.0};
-    return m;
-}
-
-std::string hex64(std::uint64_t v) {
-    std::ostringstream os;
-    os << std::hex << std::setfill('0') << std::setw(16) << v;
-    return os.str();
-}
 
 std::pair<int, int> norm_edge(int a, int b) { return {std::min(a, b), std::max(a, b)}; }
 
@@ -124,13 +57,16 @@ std::string Backend::fingerprint() const {
     using qoc::exact_double;
     std::ostringstream os;
     os << "backend:" << name << "|n:" << coupling.num_qubits() << "|e:";
-    // Normalize edge order so equal graphs fingerprint equally regardless of
-    // the edge list's construction order.
-    std::vector<std::pair<int, int>> es;
-    es.reserve(coupling.edges().size());
-    for (const auto& [a, b] : coupling.edges()) es.push_back(norm_edge(a, b));
-    std::sort(es.begin(), es.end());
-    for (const auto& [a, b] : es) os << a << "-" << b << ",";
+    if (coupling.complete()) {
+        os << "complete"; // named, not listed: O(1) at any width
+    } else {
+        // Normalize edge order so equal graphs fingerprint equally
+        // regardless of the edge list's construction order.
+        std::vector<std::pair<int, int>> es = coupling.edges();
+        for (auto& e : es) e = norm_edge(e.first, e.second);
+        std::sort(es.begin(), es.end());
+        for (const auto& [a, b] : es) os << a << "-" << b << ",";
+    }
     os << "|p:" << exact_double(base.drive_bound) << ":"
        << exact_double(base.coupling_bound) << ":" << exact_double(base.zz_drift)
        << ":" << exact_double(base.dt) << "|q:";
@@ -147,80 +83,34 @@ std::string Backend::fingerprint() const {
 
 std::uint64_t Backend::fingerprint_hash() const { return qoc::fnv1a64(fingerprint()); }
 
-qoc::BlockHamiltonian Backend::block_hamiltonian(const std::vector<int>& qubits) const {
-    if (qubits.empty())
-        throw std::invalid_argument("Backend::block_hamiltonian: empty block");
-    for (std::size_t i = 0; i < qubits.size(); ++i) {
-        if (qubits[i] < 0 || qubits[i] >= coupling.num_qubits())
-            throw std::invalid_argument("Backend::block_hamiltonian: qubit out of range");
-        if (i > 0 && qubits[i] <= qubits[i - 1])
-            throw std::invalid_argument(
-                "Backend::block_hamiltonian: qubits must be sorted and distinct");
+qoc::BlockModel Backend::block_model(const std::vector<int>& qubits) const {
+    qoc::BlockModel model{
+        .name = name, .levels = levels, .anharmonicity = anharmonicity, .dt = base.dt};
+    for (const int q : qubits) {
+        if (q < 0 || q >= coupling.num_qubits())
+            throw std::invalid_argument("Backend::block_model: qubit out of range");
+        model.drive_bounds.push_back(drive_bound(q));
     }
-    const int n = static_cast<int>(qubits.size());
-    const int L = levels;
-    const std::size_t dim = ipow(L, n);
-    const Matrix X = x_op(L);
-    const Matrix Y = y_op(L);
-    const Matrix Z = z_op(L);
-
-    qoc::BlockHamiltonian h;
-    h.num_qubits = n;
-    h.dt = base.dt;
-    h.drift = Matrix::zeros(dim, dim);
-
-    // Drift: edge-resolved ZZ on coupled pairs; optional spectator ZZ on
-    // distance-2 pairs (crosstalk variant). The local strength pattern joins
-    // `variant` — control labels/bounds alone cannot distinguish two blocks
-    // whose drifts differ.
-    std::ostringstream ztag;
-    for (int i = 0; i < n; ++i)
-        for (int j = i + 1; j < n; ++j) {
-            const int d = coupling.distance(qubits[static_cast<std::size_t>(i)],
-                                            qubits[static_cast<std::size_t>(j)]);
-            double strength = 0.0;
-            if (d == 1)
-                strength = edge(qubits[static_cast<std::size_t>(i)],
-                                qubits[static_cast<std::size_t>(j)])
-                               .zz_drift;
-            else if (crosstalk_zz && d == 2)
-                strength = crosstalk_strength;
-            if (strength != 0.0) {
-                Matrix zz = op_at(Z, i, n, L) * op_at(Z, j, n, L);
-                zz *= cplx{strength, 0.0};
-                h.drift += zz;
+    // Edge-resolved ZZ and a coupler on coupled pairs; spectator ZZ on
+    // distance-2 pairs in the crosstalk variant.
+    for (std::size_t i = 0; i < qubits.size(); ++i)
+        for (std::size_t j = i + 1; j < qubits.size(); ++j) {
+            qoc::BlockModel::Pair p;
+            const int d = coupling.distance(qubits[i], qubits[j]);
+            if (d == 0) throw std::invalid_argument("Backend::block_model: repeated qubit");
+            if (d == 1) {
+                const EdgeParams e = edge(qubits[i], qubits[j]);
+                p = {e.zz_drift, true, e.coupling_bound};
+            } else if (crosstalk_zz && d == 2) {
+                p.zz = crosstalk_strength;
             }
-            ztag << ";" << i << "_" << j << "=" << qoc::exact_double(strength);
+            model.pairs.push_back(p);
         }
-    if (L > 2) {
-        // Anharmonic drift alpha/2 n(n-1) per transmon: diag(0, 0, alpha).
-        Matrix anh = Matrix::zeros(static_cast<std::size_t>(L),
-                                   static_cast<std::size_t>(L));
-        for (int k = 0; k < L; ++k)
-            anh(static_cast<std::size_t>(k), static_cast<std::size_t>(k)) =
-                cplx{0.5 * anharmonicity * k * (k - 1), 0.0};
-        for (int q = 0; q < n; ++q) h.drift += op_at(anh, q, n, L);
-    }
+    return model;
+}
 
-    for (int q = 0; q < n; ++q) {
-        const double bound = drive_bound(qubits[static_cast<std::size_t>(q)]);
-        h.controls.push_back({"x" + std::to_string(q), op_at(X, q, n, L), bound});
-        h.controls.push_back({"y" + std::to_string(q), op_at(Y, q, n, L), bound});
-    }
-    // XX entangling lines exist only where the device has a coupler.
-    for (int i = 0; i < n; ++i)
-        for (int j = i + 1; j < n; ++j) {
-            const int a = qubits[static_cast<std::size_t>(i)];
-            const int b = qubits[static_cast<std::size_t>(j)];
-            if (!coupling.adjacent(a, b)) continue;
-            h.controls.push_back({"xx" + std::to_string(i) + "_" + std::to_string(j),
-                                  op_at(X, i, n, L) * op_at(X, j, n, L),
-                                  edge(a, b).coupling_bound});
-        }
-
-    // Backend fingerprint first: per-backend pulse libraries by construction.
-    h.variant = "be:" + hex64(fingerprint_hash()) + ";L" + std::to_string(L) + ztag.str();
-    return h;
+qoc::BlockHamiltonian Backend::block_hamiltonian(const std::vector<int>& qubits) const {
+    return qoc::build_block_hamiltonian(block_model(qubits));
 }
 
 Matrix embed_in_levels(const Matrix& u, int num_qubits, int levels) {
@@ -228,7 +118,8 @@ Matrix embed_in_levels(const Matrix& u, int num_qubits, int levels) {
     const std::size_t din = std::size_t{1} << num_qubits;
     if (u.rows() != din || u.cols() != din)
         throw std::invalid_argument("embed_in_levels: unitary is not 2^n x 2^n");
-    const std::size_t dout = ipow(levels, num_qubits);
+    std::size_t dout = 1;
+    for (int p = 0; p < num_qubits; ++p) dout *= static_cast<std::size_t>(levels);
     // Binary basis index -> mixed-radix index with the same digit values.
     const auto map_index = [&](std::size_t i) {
         std::size_t j = 0;

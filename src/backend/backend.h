@@ -6,13 +6,16 @@
 // drive bounds, per-edge coupler/ZZ overrides, and Hamiltonian variant flags
 // (ZZ crosstalk between spectator pairs, a 3-level leakage-aware mode).
 //
-// `block_hamiltonian()` replaces the all-to-all `make_block_hamiltonian`
-// model for device-aware compiles: XX entangling lines exist only on
+// Every compile targets a Backend: one that names none runs on an implicit
+// all-to-all device built from EpocOptions::device and given the empty name
+// (validate() rejects empty names, so no registered backend shares its
+// keys). `block_model()` turns the calibration into a block model for the
+// one builder in qoc/hamiltonian.h: XX entangling lines exist only on
 // coupling-map edges, drift ZZ is edge-resolved, and in 3-level mode every
-// operator lives in the 3^n transmon space with an anharmonic drift.
-// The Hamiltonian's `variant` string embeds the backend fingerprint, so
-// per-backend pulse libraries fall out of the existing cache keying: two
-// backends never share a pulse-library or store entry.
+// operator lives in the 3^n transmon space with an anharmonic drift. The
+// Hamiltonian's `variant` carries the backend name and the block's drift
+// model, so differently named backends never share a pulse-library or store
+// entry, while blocks with one name and one Hamiltonian always do.
 #pragma once
 
 #include "circuit/routing.h"
@@ -68,11 +71,15 @@ struct Backend {
     /// backends one ulp apart fingerprint (and therefore key) differently.
     std::string fingerprint() const;
     std::uint64_t fingerprint_hash() const;
-    /// Device-resolved Hamiltonian for a block over physical `qubits`
-    /// (sorted, distinct, in range). Control labels use local indices so
-    /// identically-calibrated congruent blocks share pulse-library entries
-    /// within this backend; `variant` carries the backend fingerprint so no
-    /// entry is ever shared across backends.
+    /// The calibration of a block over physical `qubits` (distinct, in
+    /// range, in any order: local qubit i is qubits[i]) as a model for the
+    /// one builder: drive bounds per qubit; ZZ and a coupler on coupled
+    /// pairs; spectator ZZ on distance-2 pairs when crosstalk_zz is set.
+    qoc::BlockModel block_model(const std::vector<int>& qubits) const;
+    /// build_block_hamiltonian(block_model(qubits)). Control labels use local
+    /// indices and `variant` names this backend, so identically calibrated
+    /// congruent blocks share pulse-library entries and differently named
+    /// backends share none.
     qoc::BlockHamiltonian block_hamiltonian(const std::vector<int>& qubits) const;
 };
 

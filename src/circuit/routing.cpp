@@ -78,22 +78,35 @@ CouplingMap CouplingMap::heavy_hex7() {
 }
 
 CouplingMap CouplingMap::full(int n) {
+    CouplingMap m(0, {});
+    m.num_qubits_ = n;
+    m.complete_ = true;
+    return m;
+}
+
+std::vector<std::pair<int, int>> CouplingMap::edges() const {
+    if (!complete_) return edges_;
     std::vector<std::pair<int, int>> e;
-    for (int a = 0; a < n; ++a)
-        for (int b = a + 1; b < n; ++b) e.emplace_back(a, b);
-    return CouplingMap(n, std::move(e));
+    for (int a = 0; a < num_qubits_; ++a)
+        for (int b = a + 1; b < num_qubits_; ++b) e.emplace_back(a, b);
+    return e;
 }
 
 bool CouplingMap::adjacent(int a, int b) const { return distance(a, b) == 1; }
 
 int CouplingMap::distance(int a, int b) const {
+    if (complete_) {
+        if (a < 0 || b < 0 || a >= num_qubits_ || b >= num_qubits_)
+            throw std::out_of_range("CouplingMap: qubit out of range");
+        return a == b ? 0 : 1;
+    }
     const int d = dist_.at(static_cast<std::size_t>(a)).at(static_cast<std::size_t>(b));
     if (d < 0) throw std::invalid_argument("CouplingMap: disconnected qubits");
     return d;
 }
 
 bool CouplingMap::connected_subset(const std::vector<int>& qubits) const {
-    if (qubits.size() <= 1) return true;
+    if (complete_ || qubits.size() <= 1) return true;
     const std::set<int> members(qubits.begin(), qubits.end());
     std::set<int> reached{*members.begin()};
     std::deque<int> queue{*members.begin()};

@@ -25,13 +25,18 @@ public:
     static CouplingMap linear(int n);
     static CouplingMap ring(int n);
     static CouplingMap grid(int rows, int cols);
+    /// The complete graph, held implicitly: no edge list, adjacency or
+    /// distance table, so an all-to-all device of any width costs O(1)
+    /// memory and every query is O(1). edges() lists its pairs on demand.
     static CouplingMap full(int n);
     /// 7-qubit heavy-hex unit cell: a degree-3 spine qubit with hanging
     /// flags, the smallest fragment of IBM's heavy-hexagon lattice.
     static CouplingMap heavy_hex7();
 
     int num_qubits() const { return num_qubits_; }
-    const std::vector<std::pair<int, int>>& edges() const { return edges_; }
+    /// True for full(n): every pair of distinct qubits is adjacent.
+    bool complete() const { return complete_; }
+    std::vector<std::pair<int, int>> edges() const;
     bool adjacent(int a, int b) const;
     /// Hop count between two physical qubits (BFS, precomputed).
     int distance(int a, int b) const;
@@ -43,6 +48,7 @@ public:
 
 private:
     int num_qubits_;
+    bool complete_ = false;
     std::vector<std::pair<int, int>> edges_;
     std::vector<std::vector<int>> adj_;
     std::vector<std::vector<int>> dist_;

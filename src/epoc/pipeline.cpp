@@ -34,16 +34,6 @@ bool is_identity_unitary(const Matrix& u) {
     return linalg::hs_fidelity(u, Matrix::identity(u.rows())) > 1.0 - 1e-10;
 }
 
-std::string fp_hex(std::uint64_t v) {
-    static const char* digits = "0123456789abcdef";
-    std::string out(16, '0');
-    for (int i = 15; i >= 0; --i) {
-        out[static_cast<std::size_t>(i)] = digits[v & 0xF];
-        v >>= 4;
-    }
-    return out;
-}
-
 /// Per-block synthesis outcome, computed in parallel and merged in block
 /// order so the flat circuit is identical to the sequential pass.
 struct SynthFragment {
@@ -103,13 +93,11 @@ struct BlockOptions {
     RegroupOptions regroup;
 };
 
-BlockOptions block_options(const EpocOptions& opt, const backend::Backend* be) {
+BlockOptions block_options(const EpocOptions& opt, const backend::Backend& be) {
     BlockOptions bo{opt.partition, opt.regroup_opt};
-    if (be != nullptr) {
-        bo.partition.coupling = &be->coupling;
-        bo.regroup.coupling = &be->coupling;
-        bo.regroup.bridge_policy = bo.partition.bridge_policy;
-    }
+    bo.partition.coupling = &be.coupling;
+    bo.regroup.coupling = &be.coupling;
+    bo.regroup.bridge_policy = bo.partition.bridge_policy;
     return bo;
 }
 
@@ -192,15 +180,10 @@ struct EpocCompiler::PulseFragment {
 EpocCompiler::EpocCompiler(EpocOptions opt)
     : opt_(std::move(opt)),
       tracer_(opt_.trace_enabled),
-      verifier_(
-          [&] {
-              // verify_opt carries the tuning knobs; the *level* comes from
-              // verify_level + EPOC_VERIFY (env wins only over `unset`).
-              verify::VerifyOptions v = opt_.verify_opt;
-              v.level = verify::resolve_level(opt_.verify_level);
-              return v;
-          }(),
-          &tracer_),
+      // The level comes from verify_level + EPOC_VERIFY (env wins only over
+      // `unset`); every other verifier knob keeps its default.
+      verifier_(verify::VerifyOptions{.level = verify::resolve_level(opt_.verify_level)},
+                &tracer_),
       pool_(opt_.num_threads),
       library_(opt_.phase_aware_library) {
     library_.set_tracer(&tracer_);
@@ -241,57 +224,44 @@ EpocCompiler::EpocCompiler(EpocOptions opt)
     }
 }
 
-const qoc::BlockHamiltonian& EpocCompiler::hamiltonian(int num_qubits) {
+const qoc::BlockHamiltonian& EpocCompiler::block_hamiltonian(const backend::Backend& be,
+                                                             const std::vector<int>& qubits) {
+    const qoc::BlockModel model = be.block_model(qubits);
+    std::string key = model.key();
     // std::map never invalidates references on insert, so handing out refs
     // under a short lock is safe even while other threads add entries.
-    const std::string key = "n:" + std::to_string(num_qubits);
     std::lock_guard<std::mutex> lock(hams_mutex_);
     auto it = hams_.find(key);
     if (it == hams_.end())
-        it = hams_.emplace(key, qoc::make_block_hamiltonian(num_qubits, opt_.device))
-                 .first;
+        it = hams_.emplace(std::move(key), qoc::build_block_hamiltonian(model)).first;
     return it->second;
 }
 
-const qoc::BlockHamiltonian& EpocCompiler::block_hamiltonian(
-    const backend::Backend* be, const std::vector<int>& qubits) {
-    if (be == nullptr) return hamiltonian(static_cast<int>(qubits.size()));
-    std::string key = "b:" + fp_hex(be->fingerprint_hash()) + ":";
-    for (const int q : qubits) {
-        key += std::to_string(q);
-        key += ',';
-    }
-    std::lock_guard<std::mutex> lock(hams_mutex_);
-    auto it = hams_.find(key);
-    if (it == hams_.end())
-        it = hams_.emplace(std::move(key), be->block_hamiltonian(qubits)).first;
-    return it->second;
-}
-
-EpocCompiler::PulseTarget EpocCompiler::gate_pulse_target(const backend::Backend* be,
+EpocCompiler::PulseTarget EpocCompiler::gate_pulse_target(const backend::Backend& be,
                                                           const Gate& g) const {
-    if (be == nullptr) return PulseTarget{g.qubits, g.unitary()};
     // Physical support: the operands plus any shortest-path qubits needed to
     // connect them, so the resolved Hamiltonian actually couples every
     // operand pair (a pulse over a disconnected set cannot entangle it).
     std::set<int> support(g.qubits.begin(), g.qubits.end());
     for (std::size_t i = 1; i < g.qubits.size(); ++i) {
         int cur = g.qubits[0];
-        while (cur != g.qubits[i] && !be->coupling.adjacent(cur, g.qubits[i])) {
-            cur = be->coupling.next_hop(cur, g.qubits[i]);
+        while (cur != g.qubits[i] && !be.coupling.adjacent(cur, g.qubits[i])) {
+            cur = be.coupling.next_hop(cur, g.qubits[i]);
             support.insert(cur);
         }
     }
+    const int width = static_cast<int>(support.size());
+    // Operands that couple directly: the gate's own unitary, operand order.
+    if (support.size() == g.qubits.size())
+        return PulseTarget{g.qubits, backend::embed_in_levels(g.unitary(), width, be.levels)};
     std::vector<int> qs(support.begin(), support.end()); // sorted by std::set
     std::vector<int> locals;
     locals.reserve(g.qubits.size());
     for (const int q : g.qubits)
         locals.push_back(static_cast<int>(
             std::lower_bound(qs.begin(), qs.end(), q) - qs.begin()));
-    Matrix u = circuit::embed_gate(g.unitary(), locals, static_cast<int>(qs.size()));
-    if (be->levels > 2)
-        u = backend::embed_in_levels(u, static_cast<int>(qs.size()), be->levels);
-    return PulseTarget{std::move(qs), std::move(u)};
+    const Matrix u = circuit::embed_gate(g.unitary(), locals, width);
+    return PulseTarget{std::move(qs), backend::embed_in_levels(u, width, be.levels)};
 }
 
 util::Cause EpocCompiler::expiry_cause(const util::Deadline& deadline) const {
@@ -354,7 +324,7 @@ EpocCompiler::AuditedPulse EpocCompiler::audit_pulse_result(
 Circuit EpocCompiler::synthesize_blocks(const std::vector<partition::CircuitBlock>& blocks,
                                         int num_qubits, double& synth_ms,
                                         const util::Deadline& deadline, EpocResult& res,
-                                        const backend::Backend* be) {
+                                        const backend::Backend& be) {
     const auto t0 = std::chrono::steady_clock::now();
 
     std::vector<SynthFragment> fragments(blocks.size());
@@ -450,23 +420,19 @@ Circuit EpocCompiler::synthesize_blocks(const std::vector<partition::CircuitBloc
                     return;
                 }
 
-                // Topology-aware mode: restrict CNOT placements to local
-                // pairs that are coupling-adjacent on the device, so the
-                // synthesized circuit needs no further routing. The cache key
-                // grows a topology tag — the same unitary synthesized under a
-                // different local adjacency is a different search.
+                // Restrict CNOT placements to local pairs that are
+                // coupling-adjacent on the device, so the synthesized circuit
+                // needs no further routing. The cache key carries the local
+                // adjacency — the same unitary synthesized under a different
+                // one is a different search.
                 std::vector<std::pair<int, int>> allowed;
-                std::string key = linalg::phase_canonical_key(u, 6);
-                if (be != nullptr) {
-                    for (std::size_t a = 0; a < blk.qubits.size(); ++a)
-                        for (std::size_t b = a + 1; b < blk.qubits.size(); ++b)
-                            if (be->coupling.adjacent(blk.qubits[a], blk.qubits[b]))
-                                allowed.emplace_back(static_cast<int>(a),
-                                                     static_cast<int>(b));
-                    key += "|T:";
-                    for (const auto& [a, b] : allowed)
-                        key += std::to_string(a) + "_" + std::to_string(b) + ",";
-                }
+                std::string key = linalg::phase_canonical_key(u, 6) + "|T:";
+                for (std::size_t a = 0; a < blk.qubits.size(); ++a)
+                    for (std::size_t b = a + 1; b < blk.qubits.size(); ++b)
+                        if (be.coupling.adjacent(blk.qubits[a], blk.qubits[b])) {
+                            allowed.emplace_back(static_cast<int>(a), static_cast<int>(b));
+                            key += std::to_string(a) + "_" + std::to_string(b) + ",";
+                        }
                 const auto compute = [&] {
                     // Single-flight: exactly one QSearch/LEAP run per
                     // distinct unitary, so these counters match the
@@ -479,7 +445,7 @@ Circuit EpocCompiler::synthesize_blocks(const std::vector<partition::CircuitBloc
                     qopt.deadline = &deadline;
                     qopt.allowed_pairs = allowed;
                     synthesis::SynthesisResult r = synthesis::qsearch_synthesize(u, qopt);
-                    if (!r.converged && !r.timed_out && opt_.leap_fallback) {
+                    if (!r.converged && !r.timed_out) {
                         const util::Tracer::Span lspan = tracer_.span(
                             "leap " + std::to_string(blk.qubits.size()) + "q",
                             "synthesis");
@@ -593,15 +559,15 @@ Circuit EpocCompiler::synthesize_blocks(const std::vector<partition::CircuitBloc
     return flat;
 }
 
-PulseJob EpocCompiler::placeholder_job(const Gate& g, const backend::Backend* be) const {
-    const double dt = be != nullptr ? be->base.dt : opt_.device.dt;
-    return PulseJob{g.qubits, dt * static_cast<double>(std::max(1, opt_.latency.max_slots)),
+PulseJob EpocCompiler::placeholder_job(const Gate& g, const backend::Backend& be) const {
+    return PulseJob{g.qubits,
+                    be.base.dt * static_cast<double>(std::max(1, opt_.latency.max_slots)),
                     0.0, kind_name(g.kind)};
 }
 
 void EpocCompiler::pulse_unit(const PulseUnit& unit, std::size_t index, const WarmSlots* warm,
                               const util::Deadline& deadline, PulseFragment& frag,
-                              const backend::Backend* be) {
+                              const backend::Backend& be) {
     const partition::CircuitBlock* blk = unit.block;
     qoc::LatencySearchOptions lopt = opt_.latency;
     lopt.deadline = &deadline;
@@ -635,10 +601,8 @@ void EpocCompiler::pulse_unit(const PulseUnit& unit, std::size_t index, const Wa
             // on the computational subspace (identity on leakage states);
             // otherwise the 2^n unitary directly.
             pt.qubits = blk->qubits;
-            pt.target = (be != nullptr && be->levels > 2)
-                            ? backend::embed_in_levels(
-                                  bu, static_cast<int>(blk->qubits.size()), be->levels)
-                            : bu;
+            pt.target =
+                backend::embed_in_levels(bu, static_cast<int>(blk->qubits.size()), be.levels);
         } else {
             if (is_identity_unitary(unit.gate->unitary())) return;
             util::fault::maybe_throw("pulse.gate");
@@ -715,7 +679,7 @@ void EpocCompiler::pulse_unit(const PulseUnit& unit, std::size_t index, const Wa
 std::vector<PulseJob> EpocCompiler::pulse_arm(const std::vector<PulseUnit>& units,
                                               const WarmSlots* warm,
                                               const util::Deadline& deadline, EpocResult& res,
-                                              double& audit_err, const backend::Backend* be) {
+                                              double& audit_err, const backend::Backend& be) {
     // "gate i (kind)" / "block i (nq)": the unit's span and report label.
     const auto name = [&](std::size_t i) {
         const PulseUnit& u = units[i];
@@ -772,7 +736,7 @@ std::vector<PulseJob> EpocCompiler::pulse_arm(const std::vector<PulseUnit>& unit
 
 std::size_t EpocCompiler::pulse_stage(const Circuit& current, const CompilationPlan* plan,
                                       const util::Deadline& deadline, EpocResult& res,
-                                      const backend::Backend* be) {
+                                      const backend::Backend& be) {
     const auto t0 = std::chrono::steady_clock::now();
     const bool warm = plan != nullptr && opt_.plan_warm_start;
     const auto schedule = [&](const std::vector<PulseJob>& jobs) {
@@ -858,7 +822,7 @@ std::size_t EpocCompiler::pulse_stage(const Circuit& current, const CompilationP
 }
 
 Circuit EpocCompiler::front_end(const Circuit& c, const util::Deadline& deadline,
-                                EpocResult& res, const backend::Backend* be,
+                                EpocResult& res, const backend::Backend& be,
                                 Circuit* after_zx) {
     // 1. Graph-based depth optimization. Failure or a spent budget keeps the
     // original circuit: ZX is a pure optimization.
@@ -939,7 +903,7 @@ Circuit EpocCompiler::front_end(const Circuit& c, const util::Deadline& deadline
 CompilationPlan EpocCompiler::build_plan(const Circuit& c,
                                          const circuit::StrippedCircuit& stripped,
                                          const util::Deadline& deadline,
-                                         const backend::Backend* be) {
+                                         const backend::Backend& be) {
     const util::Tracer::Span span = tracer_.span("plan build", "pipeline");
     // Parametric gates are reuse barriers: the front end runs only over the
     // maximal parameter-free program-order segments between them, which makes
@@ -995,7 +959,7 @@ CompilationPlan EpocCompiler::build_plan(const Circuit& c,
 
 std::shared_ptr<const CompilationPlan> EpocCompiler::bind_plan(const Circuit& c,
                                                                const util::Deadline& deadline,
-                                                               const backend::Backend* be,
+                                                               const backend::Backend& be,
                                                                Circuit& bound, bool& hit) {
     try {
         const util::Tracer::Span span = tracer_.span("plan", "pipeline");
@@ -1004,9 +968,7 @@ std::shared_ptr<const CompilationPlan> EpocCompiler::bind_plan(const Circuit& c,
         // The backend fingerprint joins the plan key: the same structure
         // targeted at two devices partitions, routes and synthesizes
         // differently, so the plans must never be shared.
-        const std::string key = be != nullptr
-                                    ? stripped.key + "|B:" + fp_hex(be->fingerprint_hash())
-                                    : stripped.key;
+        const std::string key = stripped.key + "|B:" + std::to_string(be.fingerprint_hash());
         bool built = false;
         const std::shared_ptr<const CompilationPlan> plan =
             plan_cache_.get_or_compute(key, [&] {
@@ -1042,43 +1004,52 @@ EpocResult EpocCompiler::compile(const Circuit& c, const CompileCallOptions& cal
     EpocResult res;
     verifier_.begin_compile(); // per-compile audit tally
     res.verify.level = verifier_.options().level;
-    const std::shared_ptr<const backend::Backend> be_ptr =
+    std::shared_ptr<const backend::Backend> be_ptr =
         call.backend != nullptr ? call.backend : opt_.backend;
-    const backend::Backend* be = be_ptr.get();
-    res.backend_name = be != nullptr ? be->name : "";
     res.status = validate_input(c);
     res.threads_used = pool_.num_threads();
-    if (res.status.ok() && be != nullptr && c.num_qubits() > be->coupling.num_qubits()) {
+    // The one place that asks whether a backend was given: a compile that
+    // names none runs on an implicit all-to-all device of its width, built
+    // from EpocOptions::device (O(1): the complete map is held implicitly).
+    // Its name is empty: Backend::validate rejects empty names, so no
+    // registered backend shares its keys, and unlike "full-<width>" it keeps
+    // the register width out of the pulse key — circuits of different
+    // widths share gate pulses.
+    if (be_ptr == nullptr && res.status.ok())
+        be_ptr = std::make_shared<const backend::Backend>(
+            std::string(), circuit::CouplingMap::full(c.num_qubits()), opt_.device);
+    if (be_ptr != nullptr) res.backend_name = be_ptr->name;
+    if (res.status.ok() && c.num_qubits() > be_ptr->coupling.num_qubits()) {
         res.status.stage = util::Stage::input;
         res.status.cause = util::Cause::invalid_input;
         res.status.detail = "circuit of width " + std::to_string(c.num_qubits()) +
-                            " exceeds backend '" + be->name + "' register of " +
-                            std::to_string(be->coupling.num_qubits()) + " qubits";
+                            " exceeds backend '" + be_ptr->name + "' register of " +
+                            std::to_string(be_ptr->coupling.num_qubits()) + " qubits";
     }
     if (!res.status.ok()) {
         // Structured rejection: an empty result, never a deep out_of_range.
         res.schedule.num_qubits = std::max(0, c.num_qubits());
         return res;
     }
+    const backend::Backend& be = *be_ptr;
     res.depth_original = c.depth();
     res.gates_original = c.size();
     const auto t_start = std::chrono::steady_clock::now();
     if (c.empty()) {
         // A trivially valid empty schedule; skip the pipeline entirely.
-        res.schedule.num_qubits =
-            be != nullptr ? be->coupling.num_qubits() : c.num_qubits();
+        res.schedule.num_qubits = be.coupling.num_qubits();
         res.compile_ms = ms_since(t_start);
         return res;
     }
 
-    // Device-aware compiles run over the full physical register: blocks may
-    // route through coupling-path qubits outside the logical circuit, so the
-    // whole pipeline (stage oracles, blocks_to_circuit, the schedule) sees
-    // the backend width. Identity layout — qubit i of `c` is physical i.
+    // Compiles run over the full physical register: blocks may route through
+    // coupling-path qubits outside the logical circuit, so the whole
+    // pipeline (stage oracles, blocks_to_circuit, the schedule) sees the
+    // backend width. Identity layout — qubit i of `c` is physical i.
     std::optional<Circuit> widened;
     const Circuit* input = &c;
-    if (be != nullptr && c.num_qubits() < be->coupling.num_qubits()) {
-        widened.emplace(be->coupling.num_qubits());
+    if (c.num_qubits() < be.coupling.num_qubits()) {
+        widened.emplace(be.coupling.num_qubits());
         std::vector<int> ident(static_cast<std::size_t>(c.num_qubits()));
         std::iota(ident.begin(), ident.end(), 0);
         widened->append_mapped(c, ident);

@@ -66,24 +66,26 @@ struct EpocOptions {
     partition::PartitionOptions partition{/*max_qubits=*/3, /*max_gates=*/24};
     RegroupOptions regroup_opt{/*max_qubits=*/3, /*max_gates=*/32};
     synthesis::QSearchOptions qsearch;
-    bool leap_fallback = true;
     /// Use the analytic KAK decomposition (synthesis/kak.h) as the synthesis
     /// fast path for 2-qubit blocks: exact and ~1000x faster than QSearch,
     /// at the cost of a fixed (non-searched) circuit shape.
     bool use_kak = false;
     qoc::DeviceParams device;
-    /// Target hardware backend (backend/backend.h). When set, the compile is
+    /// Target hardware backend (backend/backend.h). Every compile is
     /// device-aware end to end: the circuit is widened to the device register,
     /// partitioning/regrouping run in topology-aware mode over the backend's
     /// coupling map (every block a connected subgraph; non-adjacent bridging
     /// gates routed or rejected per `partition.bridge_policy`), synthesis
-    /// restricts CNOT placements to coupling edges, pulse targets use the
+    /// restricts CNOT placements to coupling edges, and pulse targets use the
     /// backend's edge-resolved Hamiltonians (3-level leakage-aware when
-    /// `levels == 3`), and the backend fingerprint joins every pulse-library,
-    /// store and plan-cache key — so backends never share cached artifacts.
-    /// nullptr (the default) keeps the topology-unconstrained `device` model.
-    /// `partition.coupling` / `regroup_opt.coupling` are overridden while a
-    /// backend is set. Overridable per call via CompileCallOptions::backend.
+    /// `levels == 3`). The backend name and each block's calibration join
+    /// every pulse-library and store key, and the backend fingerprint every
+    /// plan-cache key: pulses are shared only by blocks with one backend name
+    /// and one Hamiltonian, plans only within one backend. nullptr (the
+    /// default) compiles on an implicit all-to-all device of the circuit's
+    /// width built from `device`, with the empty name.
+    /// `partition.coupling` / `regroup_opt.coupling` are always overridden.
+    /// Overridable per call via CompileCallOptions::backend.
     std::shared_ptr<const backend::Backend> backend;
     qoc::LatencySearchOptions latency;
     bool phase_aware_library = true;
@@ -139,9 +141,6 @@ struct EpocOptions {
     /// Audit failures never throw: they take the degradation ladder as
     /// Cause::verify_failed (recompute once, then fall a rung).
     verify::VerifyLevel verify_level = verify::VerifyLevel::unset;
-    /// Verifier tolerances and sampling knobs. Its `level` field is ignored —
-    /// the level always comes from `verify_level` above.
-    verify::VerifyOptions verify_opt;
     /// Incremental variational compilation (epoc/plan_cache.h): key each
     /// compile on the circuit's parameter-stripped structure and cache the
     /// front end's product (ZX + partition + synthesis as a slot-sentinel
@@ -199,7 +198,7 @@ struct EpocResult {
     double esp_decoherent = 1.0;
     double compile_ms = 0.0;
     /// Name of the hardware backend this compile targeted ("" = the
-    /// topology-unconstrained device model).
+    /// implicit all-to-all device built from EpocOptions::device).
     std::string backend_name;
 
     // Stage diagnostics.
@@ -351,11 +350,12 @@ private:
         bool resolved = true;
     };
 
-    /// The pulse target of one gate under a backend: the (sorted) physical
-    /// qubit set the pulse spans — the gate's operands plus, for backends,
-    /// their connected closure on the coupling map — and the gate unitary
-    /// embedded over that set (lifted to the 3-level space when the backend
-    /// models leakage). be == nullptr reproduces the legacy target exactly.
+    /// The pulse target of one gate: the physical qubits the pulse spans and
+    /// the gate unitary over them, lifted to the 3-level space when the
+    /// backend models leakage. A gate whose operands couple directly targets
+    /// its own unitary over its operands, in operand order; one that needs
+    /// shortest-path qubits to connect them targets the gate embedded over
+    /// the sorted union.
     struct PulseTarget {
         std::vector<int> qubits;
         linalg::Matrix target;
@@ -371,23 +371,22 @@ private:
     /// A unit's jobs, status, audit outcome and audit error (pipeline.cpp).
     struct PulseFragment;
 
-    const qoc::BlockHamiltonian& hamiltonian(int num_qubits);
     /// Device-resolved Hamiltonian for a block over physical `qubits`,
-    /// cached per (backend fingerprint, qubit set); be == nullptr falls back
-    /// to the legacy per-width `hamiltonian(|qubits|)`.
-    const qoc::BlockHamiltonian& block_hamiltonian(const backend::Backend* be,
+    /// cached per block model (qoc::BlockModel::key): one entry per distinct
+    /// Hamiltonian, whatever the register width, qubit ids or operand order.
+    const qoc::BlockHamiltonian& block_hamiltonian(const backend::Backend& be,
                                                    const std::vector<int>& qubits);
-    PulseTarget gate_pulse_target(const backend::Backend* be,
+    PulseTarget gate_pulse_target(const backend::Backend& be,
                                   const circuit::Gate& g) const;
     util::Cause expiry_cause(const util::Deadline& deadline) const;
     circuit::Circuit synthesize_blocks(const std::vector<partition::CircuitBlock>& blocks,
                                        int num_qubits, double& synth_ms,
                                        const util::Deadline& deadline, EpocResult& res,
-                                       const backend::Backend* be);
+                                       const backend::Backend& be);
     /// Ladder rung 3 for gate `g` (global qubits): a placeholder pulse with
     /// worst-case duration (`max_slots * dt`) and zero fidelity —
     /// structurally schedulable, and impossible to mistake for a good pulse.
-    PulseJob placeholder_job(const circuit::Gate& g, const backend::Backend* be) const;
+    PulseJob placeholder_job(const circuit::Gate& g, const backend::Backend& be) const;
     /// Pulses one unit into `frag`, taking the ladder on failure: a block
     /// whose pulse is infeasible, degraded, errored or fails its audit falls
     /// to its gates, pulsed by this same routine into the same fragment; a
@@ -396,20 +395,20 @@ private:
     /// and their recomputes always run un-seeded.
     void pulse_unit(const PulseUnit& unit, std::size_t index, const WarmSlots* warm,
                     const util::Deadline& deadline, PulseFragment& frag,
-                    const backend::Backend* be);
+                    const backend::Backend& be);
     /// One pulse arm: pulse_unit() over `units` in parallel, merged in unit
     /// order into jobs, one BlockReport per unit and the arm's audit error.
     std::vector<PulseJob> pulse_arm(const std::vector<PulseUnit>& units,
                                     const WarmSlots* warm, const util::Deadline& deadline,
                                     EpocResult& res, double& audit_err,
-                                    const backend::Backend* be);
+                                    const backend::Backend& be);
     /// The front end of every cold compile and of every plan build segment:
     /// ZX, then partition and synthesis. Returns the synthesized circuit and,
     /// when `after_zx` is set, the post-ZX one there. A stage that fails or
     /// is skipped reports on `res` and passes its input through; stage times,
     /// depth_after_zx and num_blocks land on `res` too.
     circuit::Circuit front_end(const circuit::Circuit& c, const util::Deadline& deadline,
-                               EpocResult& res, const backend::Backend* be,
+                               EpocResult& res, const backend::Backend& be,
                                circuit::Circuit* after_zx = nullptr);
     /// The pulse stage every compile ends in: the fine arm over `current`,
     /// then — budget permitting — regroup with its oracle and the grouped
@@ -419,7 +418,7 @@ private:
     /// when regroup did not run).
     std::size_t pulse_stage(const circuit::Circuit& current, const CompilationPlan* plan,
                             const util::Deadline& deadline, EpocResult& res,
-                            const backend::Backend* be);
+                            const backend::Backend& be);
     /// Build a CompilationPlan for `c` (whose structure key is
     /// `stripped.key`): the front end over each maximal parameter-free
     /// segment, parametric gates carried through as slot sentinels. Throws
@@ -428,13 +427,13 @@ private:
     CompilationPlan build_plan(const circuit::Circuit& c,
                                const circuit::StrippedCircuit& stripped,
                                const util::Deadline& deadline,
-                               const backend::Backend* be);
+                               const backend::Backend& be);
     /// The plan path's stand-in for front_end(): strip `c`, look up (or
     /// build) its plan and bind the angles into `bound`; `hit` is false on
     /// the build. Never throws; nullptr means "run the front end".
     std::shared_ptr<const CompilationPlan> bind_plan(const circuit::Circuit& c,
                                                      const util::Deadline& deadline,
-                                                     const backend::Backend* be,
+                                                     const backend::Backend& be,
                                                      circuit::Circuit& bound, bool& hit);
     /// Schedule audit for one generated pulse (feasible, authoritative,
     /// sampled-in results only; anything else passes through unchecked):
@@ -457,9 +456,8 @@ private:
     util::ShardedFlightCache<synthesis::SynthesisResult> synth_cache_;
     util::ShardedFlightCache<CompilationPlan> plan_cache_;
     std::mutex hams_mutex_;
-    /// Hamiltonian cache, keyed "n:<width>" for the legacy uniform-device
-    /// model and "b:<backend-fingerprint-hash>:<qubit ids>" for
-    /// backend-resolved block Hamiltonians.
+    /// Block Hamiltonians, keyed by qoc::BlockModel::key(): bounded by the
+    /// distinct block models compiled, not by widths or qubit tuples.
     std::map<std::string, qoc::BlockHamiltonian> hams_;
 };
 

@@ -16,9 +16,9 @@ std::string PulseLibrary::key_of(const BlockHamiltonian& h, const Matrix& m,
     os << (phase_aware_ ? linalg::phase_canonical_key(m, 6) : linalg::raw_key(m, 6));
 
     // Hamiltonian fingerprint: dimension, slot width and each control line's
-    // label/bound pin down the device model a pulse was optimized against
-    // (the drift follows from these for make_block_hamiltonian models; custom
-    // Hamiltonians with equal lines are treated as equal devices).
+    // label/bound, plus the builder's `variant` below (device name, levels,
+    // drift), pin down the device model a pulse was optimized against;
+    // custom Hamiltonians with equal lines and variant are treated as equal.
     //
     // All doubles below are encoded exactly (IEEE-754 bit pattern, see
     // pulse_io.h), never via decimal formatting: the historical precision(12)
@@ -30,8 +30,9 @@ std::string PulseLibrary::key_of(const BlockHamiltonian& h, const Matrix& m,
     os << "|H:" << h.num_qubits << ":" << exact_double(h.dt);
     for (const ControlLine& c : h.controls)
         os << ":" << c.label << "=" << exact_double(c.bound);
-    // Drift variant: control lines alone leave the drift ambiguous (zz_drift,
-    // crosstalk terms, level structure); builders fingerprint those here.
+    // Drift variant: control lines alone leave the drift ambiguous (ZZ
+    // strengths, crosstalk terms, level structure) and name no device; the
+    // builder fingerprints those here.
     os << "|V:" << h.variant;
 
     // Effective search options. warm_amplitudes is intentionally absent (see
@@ -43,7 +44,7 @@ std::string PulseLibrary::key_of(const BlockHamiltonian& h, const Matrix& m,
        << opt.max_slots << ":" << opt.slot_granularity << "|G:"
        << opt.grape.max_iterations << ":" << exact_double(opt.grape.learning_rate)
        << ":" << opt.grape.seed << ":" << exact_double(opt.grape.init_scale) << ":"
-       << opt.grape.nonfinite_retries;
+       << opt.grape.nonfinite_retries << "|" << kGeneratorTag;
     return os.str();
 }
 

@@ -7,8 +7,9 @@
 // The unitary key is global-phase-aware in EPOC mode (two unitaries differing
 // only by e^{i*phi} share one entry, raising the hit rate; the phase-oblivious
 // mode exists for the ablation benchmark). The Hamiltonian fingerprint covers
-// dimension, slot width and every control line's bound, so two device models
-// never trade pulses. The options fingerprint covers the search parameters
+// dimension, slot width, every control line's bound and the builder's
+// variant (device name, levels, drift), so two device models never trade
+// pulses. The options fingerprint covers the search parameters
 // that shape the result — fidelity_threshold, min/max_slots, slot_granularity
 // and the GRAPE hyperparameters — so e.g. the pipeline's coarse-granularity
 // regrouped arm can never receive a fine-granularity pulse generated earlier
@@ -50,6 +51,12 @@
 #include <optional>
 
 namespace epoc::qoc {
+
+/// Generator version, the last component of every pulse key. Bump it with
+/// any change to GRAPE, the latency search or Hamiltonian numerics: stored
+/// and packed pulses from an older generator then miss instead of silently
+/// hitting where a fresh run would produce different bits.
+inline constexpr char kGeneratorTag[] = "gen:1";
 
 /// Secondary pulse tier: a key-value backend consulted on memory misses and
 /// fed authoritative results. Implementations must be thread-safe (the

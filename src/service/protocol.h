@@ -78,8 +78,9 @@ struct JobRequest {
     double deadline_ms = 0.0;  ///< wall-clock budget incl. queueing; 0 = none
     std::string qasm;          ///< OpenQASM 2 circuit text
     /// Hardware backend name, resolved against the daemon's registry at
-    /// admission; empty = the daemon's default (topology-unconstrained)
-    /// device model. An unknown name is answered invalid_input, not dropped.
+    /// admission; empty = the daemon's default device (the implicit
+    /// all-to-all one unless configured). An unknown name is answered
+    /// invalid_input, not dropped.
     std::string backend;
 };
 

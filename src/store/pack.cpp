@@ -19,7 +19,6 @@ namespace epoc::store {
 
 namespace {
 
-using detail::is_disk_full_errno;
 using detail::kMaxKeyBytes;
 using detail::write_file_synced;
 
@@ -53,7 +52,7 @@ void set_error(std::string* error, const std::string& what) {
 } // namespace
 
 bool write_pack(const std::filesystem::path& path, std::vector<PackEntry> entries,
-                std::string* error, bool* disk_full) {
+                std::string* error) {
     // First-wins dedup in input order: merge precedence is argument order,
     // and a pack must never hold two records for one key (the index search
     // would serve whichever sorts first — ambiguity, not redundancy).
@@ -133,7 +132,6 @@ bool write_pack(const std::filesystem::path& path, std::vector<PackEntry> entrie
          ".pack.tmp");
     int err = 0;
     if (!write_file_synced(tmp, blob, err)) {
-        if (disk_full != nullptr) *disk_full = is_disk_full_errno(err);
         set_error(error, "cannot write pack temp file: " +
                              std::error_code(err, std::generic_category()).message());
         std::error_code ec;
@@ -143,7 +141,6 @@ bool write_pack(const std::filesystem::path& path, std::vector<PackEntry> entrie
     std::error_code rec;
     std::filesystem::rename(tmp, path, rec);
     if (rec) {
-        if (disk_full != nullptr) *disk_full = is_disk_full_errno(rec.value());
         set_error(error, "cannot publish pack: " + rec.message());
         std::error_code ec;
         std::filesystem::remove(tmp, ec);

@@ -85,9 +85,9 @@ struct PackEntry {
 /// Build a pack at `path` from `entries` (deduplicated first-wins on key —
 /// merge order is precedence order) via fsync-temp-then-rename. False on any
 /// failure (nothing published, temp removed; `error`, when non-null, gets a
-/// one-line diagnosis and `disk_full` whether the errno was ENOSPC-class).
+/// one-line diagnosis).
 bool write_pack(const std::filesystem::path& path, std::vector<PackEntry> entries,
-                std::string* error = nullptr, bool* disk_full = nullptr);
+                std::string* error = nullptr);
 
 /// A mapped, validated, read-only pack. Immutable after open() (quarantine
 /// renames do not disturb an open mapping); safe to probe from any number of

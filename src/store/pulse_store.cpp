@@ -613,9 +613,7 @@ std::size_t PulseStore::compact() {
     collect(dir_ / kQuarantineDir, /*entries_only=*/false, quarantined, total,
             io_errs, false);
 
-    std::size_t evicted = 0, q_evicted = 0, packed = 0;
-    bool pack_disk_full = false;
-    std::shared_ptr<PackReader> new_pack;
+    std::size_t evicted = 0, q_evicted = 0;
     if (opt_.max_bytes > 0 && total > opt_.max_bytes) {
         const std::uint64_t target = static_cast<std::uint64_t>(
             static_cast<double>(opt_.max_bytes) *
@@ -635,57 +633,11 @@ std::size_t PulseStore::compact() {
             }
         }
         oldest_first(entries);
-        // The eviction victims, chosen up front so the optional pack fold
-        // covers exactly the entries about to disappear.
-        std::vector<const Entry*> victims;
-        {
-            std::uint64_t would_remain = total;
-            for (const Entry& e : entries) {
-                if (would_remain <= target) break;
-                victims.push_back(&e);
-                would_remain -= e.size;
-            }
-        }
-        bool fold = opt_.pack_on_compact && !victims.empty();
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            if (disabled_) fold = false; // memory-only: no new files, period
-        }
-        if (fold) {
-            // Crash-safe fold: build the pack from the victims' bytes, make
-            // it durable (fsync + rename inside write_pack), and only then
-            // delete the loose files below. A crash in between leaves the
-            // key in both tiers — the loose entry just shadows the pack.
-            std::vector<PackEntry> to_pack;
-            for (const Entry* e : victims)
-                if (std::optional<PackEntry> parsed = read_entry_file(e->path))
-                    to_pack.push_back(std::move(*parsed));
-            if (!to_pack.empty()) {
-                std::uint64_t serial;
-                {
-                    std::lock_guard<std::mutex> lock(mutex_);
-                    serial = ++temp_serial_;
-                }
-                const std::filesystem::path pack_path =
-                    dir_ / ("pack-" + std::to_string(process_id()) + "-" +
-                            std::to_string(serial) + kPackSuffix);
-                const std::size_t count = to_pack.size();
-                if (write_pack(pack_path, std::move(to_pack), nullptr,
-                               &pack_disk_full)) {
-                    new_pack = PackReader::open(pack_path);
-                    if (new_pack != nullptr) packed = count;
-                    // An unopenable pack we just wrote is a broken disk;
-                    // fall through — the victims are still deleted, just
-                    // not preserved.
-                } else {
-                    ++io_errs;
-                }
-            }
-        }
-        for (const Entry* e : victims) {
+        for (const Entry& e : entries) {
+            if (total <= target) break;
             std::error_code rec;
-            if (std::filesystem::remove(e->path, rec) && !rec) {
-                total -= e->size;
+            if (std::filesystem::remove(e.path, rec) && !rec) {
+                total -= e.size;
                 ++evicted;
             } else if (rec) {
                 ++io_errs; // undeletable entry: budget cannot be honored
@@ -696,24 +648,8 @@ std::size_t PulseStore::compact() {
     std::lock_guard<std::mutex> lock(mutex_);
     stats_.evicted += evicted;
     stats_.quarantine_evicted += q_evicted;
-    stats_.packed += packed;
     stats_.io_errors += io_errs;
     stats_.bytes = total;
-    if (new_pack != nullptr) {
-        // Newest local pack probes *after* existing ones: entry duplication
-        // across local packs is possible only via re-publish + re-fold, and
-        // then the older copy is the one revalidation already vetted.
-        stats_.pack_entries += new_pack->entry_count();
-        stats_.pack_bytes += new_pack->size_bytes();
-        packs_.push_back(std::move(new_pack));
-        stats_.packs_open = packs_.size();
-    }
-    if (pack_disk_full && !disabled_) {
-        // ENOSPC during the fold rides the same one-way trip as a failed
-        // entry write: stop trying to grow files on a full disk.
-        disabled_ = true;
-        ++stats_.disabled_enospc;
-    }
     return evicted;
 }
 

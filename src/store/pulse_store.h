@@ -55,12 +55,11 @@
 // (stats counters `disabled_enospc` / `skipped_disabled`) instead of
 // hammering a full or read-only filesystem on every compile. The trip is
 // one-way for the store's lifetime — recovering disk space needs an
-// operator anyway, and a process restart re-arms the writer. An ENOSPC-class
-// failure while compaction folds entries into a pack rides the same trip.
+// operator anyway, and a process restart re-arms the writer.
 //
 // Pack tier (pack.h): behind the loose one-file-per-entry tier sits an
 // ordered list of immutable pack segments — `*.pack` files in the store
-// directory itself (produced by compaction when `pack_on_compact` is set)
+// directory itself (placed there by an operator, e.g. with `epoc_pack`)
 // followed by every directory in PulseStoreOptions::pack_dirs (read-only
 // shared libraries, e.g. a fleet-wide warm artifact). Lookup order is
 //
@@ -108,11 +107,6 @@ struct PulseStoreOptions {
     /// order (see header). Missing directories are tolerated (a share that is
     /// not mounted is a cold tier, not an error).
     std::vector<std::string> pack_dirs;
-    /// When set, compaction folds the loose entries it would have evicted
-    /// into a new local pack segment first and deletes them only after the
-    /// pack is durable (fsync + rename) — the entries stay servable, just
-    /// colder. Off by default: packing is an explicit operational choice.
-    bool pack_on_compact = false;
 };
 
 struct PulseStoreStats {
@@ -138,7 +132,7 @@ struct PulseStoreStats {
     /// Budgeted bytes on disk as last accounted: loose entries plus
     /// quarantined files (which share `max_bytes`); packs are excluded.
     std::uint64_t bytes = 0;
-    // Pack tier (all zero when no packs are configured or produced):
+    // Pack tier (all zero when no packs are configured):
     std::size_t pack_hits = 0;    ///< loads served from a pack (subset of hits)
     std::size_t pack_denied = 0;  ///< pack probes blocked by the denylist
     std::size_t pack_corrupt = 0; ///< entry integrity failures inside packs
@@ -147,7 +141,6 @@ struct PulseStoreStats {
     std::size_t pack_suspect = 0;
     std::size_t packs_open = 0;   ///< packs currently open and probed
     std::size_t pack_entries = 0; ///< entries indexed across open packs
-    std::size_t packed = 0;       ///< loose entries folded into packs by compaction
     std::uint64_t pack_bytes = 0; ///< bytes across open packs (outside the budget)
 
     /// Calls `f(name, value)` for every counter above under its exported
@@ -172,7 +165,6 @@ struct PulseStoreStats {
         f("store.pack.suspect", pack_suspect);
         f("store.pack.open", packs_open);
         f("store.pack.entries", pack_entries);
-        f("store.pack.packed", packed);
         f("store.pack.bytes", pack_bytes);
     }
 };
@@ -222,17 +214,16 @@ public:
     /// Force a compaction pass now (also run automatically when a write
     /// pushes the directory over budget). Sweeps stale temp files (loose and
     /// pack), evicts quarantined files oldest-mtime-first, then loose entries
-    /// oldest-mtime-first — folding the latter into a new local pack segment
-    /// first when `pack_on_compact` is set (deleted only after the pack is
-    /// durable) — until under `compact_to * max_bytes`, and refreshes the
-    /// byte accounting. Returns the number of loose entries removed.
+    /// oldest-mtime-first, until under `compact_to * max_bytes`, and
+    /// refreshes the byte accounting. Returns the number of loose entries
+    /// removed.
     std::size_t compact();
 
     /// Parse one loose entry file into its (key, payload) pair, fully
     /// validated (magic, version, checksum, decodability). Empty optional for
     /// anything else — including valid entries of a future format version.
-    /// The ingest primitive behind `epoc_pack create` and pack-folding
-    /// compaction; quarantines nothing (tooling reports, the store decides).
+    /// The ingest primitive behind `epoc_pack create`; quarantines nothing
+    /// (tooling reports, the store decides).
     static std::optional<PackEntry> read_entry_file(const std::filesystem::path& p);
 
     /// Path the entry for `key` lives at (exposed for tests and tooling).

@@ -9,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
+#include <cstring>
 #include <set>
 #include <string>
 #include <vector>
@@ -32,6 +34,26 @@ core::EpocOptions fast_options() {
 
 std::uint64_t digest(const core::EpocResult& r) {
     return qoc::fnv1a64(core::schedule_to_json(r.schedule));
+}
+
+/// Bit-for-bit matrix equality (sign of zero included).
+bool same_bits(const linalg::Matrix& a, const linalg::Matrix& b) {
+    return a.rows() == b.rows() && a.cols() == b.cols() &&
+           std::memcmp(a.data(), b.data(), a.rows() * a.cols() * sizeof(linalg::cplx)) == 0;
+}
+
+void expect_same_hamiltonian(const qoc::BlockHamiltonian& a, const qoc::BlockHamiltonian& b) {
+    EXPECT_EQ(a.num_qubits, b.num_qubits);
+    EXPECT_EQ(std::memcmp(&a.dt, &b.dt, sizeof a.dt), 0);
+    EXPECT_EQ(a.variant, b.variant);
+    EXPECT_TRUE(same_bits(a.drift, b.drift)) << "drift";
+    ASSERT_EQ(a.controls.size(), b.controls.size());
+    for (std::size_t i = 0; i < a.controls.size(); ++i) {
+        EXPECT_EQ(a.controls[i].label, b.controls[i].label);
+        EXPECT_EQ(std::memcmp(&a.controls[i].bound, &b.controls[i].bound, sizeof(double)), 0)
+            << a.controls[i].label;
+        EXPECT_TRUE(same_bits(a.controls[i].h, b.controls[i].h)) << a.controls[i].label;
+    }
 }
 
 // --- Registry ------------------------------------------------------------
@@ -120,8 +142,8 @@ TEST(BackendFingerprint, OneUlpApartKeysDifferently) {
     b.base.zz_drift = std::nextafter(a.base.zz_drift, 1.0);
     EXPECT_NE(a.fingerprint(), b.fingerprint());
     EXPECT_NE(a.fingerprint_hash(), b.fingerprint_hash());
-    // The Hamiltonian variant embeds the fingerprint, so pulse-library keys
-    // separate automatically.
+    // Each pair's ZZ strength goes into the variant exactly (exact_double),
+    // so one-ulp calibrations key apart in the pulse library too.
     EXPECT_NE(a.block_hamiltonian({0, 1}).variant,
               b.block_hamiltonian({0, 1}).variant);
 }
@@ -318,6 +340,116 @@ TEST(BackendCompile, WiderThanRegisterIsInvalidInput) {
     EXPECT_EQ(r.status.cause, util::Cause::invalid_input);
     EXPECT_NE(r.status.detail.find("exceeds backend"), std::string::npos)
         << r.status.detail;
+}
+
+// --- One device model ----------------------------------------------------
+
+TEST(OneDeviceModel, ImplicitDeviceHamiltonianIsTheUniformModel) {
+    // A compile that names no backend runs on an empty-named all-to-all
+    // Backend; its block Hamiltonians must be make_block_hamiltonian's, bit
+    // for bit, or device-free pulses would change.
+    qoc::DeviceParams custom;
+    custom.drive_bound = 0.21;
+    custom.coupling_bound = 0.031;
+    custom.zz_drift = 0.0;
+    custom.dt = 1.5;
+    qoc::DeviceParams strong;
+    strong.zz_drift = 0.0045;
+    for (const qoc::DeviceParams& dev : {qoc::DeviceParams{}, custom, strong})
+        for (int n = 1; n <= 4; ++n) {
+            SCOPED_TRACE("n=" + std::to_string(n));
+            const Backend be("", CouplingMap::full(n), dev);
+            std::vector<int> qubits;
+            for (int q = 0; q < n; ++q) qubits.push_back(q);
+            expect_same_hamiltonian(be.block_hamiltonian(qubits),
+                                    qoc::make_block_hamiltonian(n, dev));
+        }
+}
+
+TEST(OneDeviceModel, UniformDeviceHamiltonianIgnoresQubitOrder) {
+    const Backend be("uniform", CouplingMap::linear(2));
+    expect_same_hamiltonian(be.block_hamiltonian({1, 0}), be.block_hamiltonian({0, 1}));
+    EXPECT_THROW(be.block_hamiltonian({1, 1}), std::invalid_argument);
+}
+
+TEST(OneDeviceModel, DeviceFreeCompileEqualsFullN) {
+    // Device-free and full-3 are the same device under two names: the same
+    // schedule and the same GRAPE work, with or without regrouping. `cx 1,0`
+    // and `cx 2,1` pulse their own unitaries in operand order on both.
+    circuit::Circuit c(3);
+    c.h(0).cx(1, 0).h(2).cx(2, 1).cx(0, 2);
+    BackendRegistry reg;
+    for (const bool regroup : {false, true}) {
+        SCOPED_TRACE(regroup ? "regroup on" : "regroup off");
+        core::EpocOptions opt = fast_options();
+        opt.num_threads = 1;
+        opt.regroup_enabled = regroup;
+        core::EpocCompiler device_free(opt);
+        const core::EpocResult a = device_free.compile(c);
+        opt.backend = reg.find("full-3");
+        core::EpocCompiler full(opt);
+        const core::EpocResult b = full.compile(c);
+        ASSERT_TRUE(a.status.ok()) << a.status.to_string();
+        ASSERT_TRUE(b.status.ok()) << b.status.to_string();
+        EXPECT_EQ(a.backend_name, "");
+        EXPECT_EQ(b.backend_name, "full-3");
+        EXPECT_EQ(core::schedule_to_json(a.schedule), core::schedule_to_json(b.schedule));
+        EXPECT_EQ(a.library_stats.misses, b.library_stats.misses);
+    }
+}
+
+TEST(OneDeviceModel, WideDeviceFreeRegisterCostsNoPerPairState) {
+    // The implicit device of a 4000-qubit register is a complete graph held
+    // implicitly: building it, fingerprinting it and compiling a one-gate
+    // circuit on it cost what the circuit costs (well under a second in a
+    // Release build), not an all-pairs table — ~8M edges and a W^3 BFS
+    // would take minutes and gigabytes.
+    const Backend implicit("", CouplingMap::full(4000));
+    EXPECT_LT(implicit.fingerprint().size(), 256u);
+    core::EpocOptions opt = fast_options();
+    opt.num_threads = 1;
+    core::EpocCompiler compiler(opt);
+    circuit::Circuit c(4000);
+    c.h(0);
+    const auto t0 = std::chrono::steady_clock::now();
+    const core::EpocResult r = compiler.compile(c);
+    const double seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+    ASSERT_TRUE(r.status.ok()) << r.status.to_string();
+    EXPECT_EQ(r.backend_name, "");
+    EXPECT_EQ(r.schedule.num_qubits, 4000);
+    EXPECT_LT(seconds, 10.0);
+}
+
+TEST(OneDeviceModel, BlockModelKeyIgnoresWidthAndQubitIds) {
+    // The compiler caches block Hamiltonians per model key: on a uniform
+    // device every 2-qubit block shares one entry, whatever the register
+    // width, qubit ids or operand order; a different name never does.
+    const Backend narrow("", CouplingMap::full(3));
+    const Backend wide("", CouplingMap::full(9));
+    EXPECT_EQ(narrow.block_model({0, 1}).key(), wide.block_model({7, 2}).key());
+    EXPECT_NE(narrow.block_model({0, 1}).key(), narrow.block_model({0, 1, 2}).key());
+    Backend other = wide;
+    other.name = "full-9";
+    EXPECT_NE(other.block_model({7, 2}).key(), wide.block_model({7, 2}).key());
+}
+
+TEST(OneDeviceModel, DeviceFreePulsesAreSharedAcrossRegisterWidths) {
+    // The implicit device's name is empty for every width, so the register
+    // width stays out of the pulse key.
+    core::EpocOptions opt = fast_options();
+    opt.num_threads = 1;
+    core::EpocCompiler compiler(opt);
+    circuit::Circuit narrow(2);
+    narrow.h(0).cx(0, 1);
+    circuit::Circuit wide(3);
+    wide.h(0).cx(0, 1);
+    ASSERT_TRUE(compiler.compile(narrow).status.ok());
+    const std::size_t misses = compiler.library().stats().misses;
+    EXPECT_GT(misses, 0u);
+    const core::EpocResult r = compiler.compile(wide);
+    ASSERT_TRUE(r.status.ok()) << r.status.to_string();
+    EXPECT_EQ(r.library_stats.misses, misses) << "a wider register re-ran GRAPE";
 }
 
 } // namespace

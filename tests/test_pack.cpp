@@ -9,9 +9,8 @@
 //     miss + suspect + quarantine, never UB, never a poisoned hit;
 //   * layering: loose entries shadow packs, invalidate() denylists pack keys
 //     without touching the read-only file, a fresh write lifts the deny;
-//   * compaction: pack_on_compact folds evicted loose entries into a local
-//     segment that keeps serving them; quarantine/ shares the byte budget
-//     and is evicted first; stale *.pack.tmp litter is swept at startup;
+//   * compaction: quarantine/ shares the byte budget and is evicted first;
+//     stale *.pack.tmp litter is swept at startup;
 //   * concurrency: two libraries over one local tier layered on one
 //     read-only pack under an 8-thread hammer — the pack file is never
 //     modified;
@@ -493,40 +492,6 @@ TEST(PackStore, CorruptPackIsQuarantinedAndNeighboursKeepServing) {
     EXPECT_EQ(st.pack_hits, 1u);
     EXPECT_EQ(quarantined_count(pdir), 1u);
     EXPECT_TRUE(fs::exists(pdir / "b-good.pack"));
-}
-
-TEST(PackStore, CompactFoldsEvictedLooseEntriesIntoAServingPack) {
-    TempDir dir;
-    PulseStoreOptions sopt;
-    sopt.dir = dir.str();
-    sopt.max_bytes = 1; // any entry is over budget
-    sopt.compact_to = 0.0;
-    sopt.pack_on_compact = true;
-    PulseStore store(std::move(sopt));
-
-    std::vector<LatencyResult> originals;
-    for (int i = 0; i < 4; ++i) {
-        originals.push_back(sample_result(static_cast<double>(i)));
-        store.store("fold|" + std::to_string(i), originals.back());
-    }
-    // store() compacts automatically when over budget, so by now the early
-    // entries have already been folded; force one more pass to settle.
-    store.compact();
-
-    const auto st = store.stats();
-    EXPECT_GT(st.packed, 0u) << "evicted entries must be folded, not dropped";
-    EXPECT_GT(st.evicted, 0u);
-    EXPECT_GE(st.packs_open, 1u);
-    // Every key keeps serving — now from the pack tier.
-    for (int i = 0; i < 4; ++i) {
-        bool from_pack = false;
-        const std::optional<LatencyResult> r =
-            store.load("fold|" + std::to_string(i), &from_pack);
-        ASSERT_TRUE(r.has_value()) << "key " << i << " lost by compaction";
-        expect_result_bits_equal(originals[static_cast<std::size_t>(i)], *r);
-    }
-    EXPECT_GT(store.stats().pack_hits, 0u);
-    EXPECT_LT(count_entries(dir.path), 4u);
 }
 
 TEST(PackStore, QuarantineSharesTheBudgetAndIsEvictedFirst) {

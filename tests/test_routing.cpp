@@ -99,6 +99,27 @@ TEST(CouplingMap, ConnectedSubset) {
     EXPECT_FALSE(ring.connected_subset({0, 2, 4}));
 }
 
+TEST(CouplingMap, FullMapIsImplicitAtAnyWidth) {
+    // full(n) stores no per-pair state, so a million-qubit complete graph is
+    // as cheap to build and query as a five-qubit one.
+    const int n = 1 << 20;
+    const CouplingMap m = CouplingMap::full(n);
+    EXPECT_TRUE(m.complete());
+    EXPECT_EQ(m.num_qubits(), n);
+    EXPECT_TRUE(m.adjacent(0, n - 1));
+    EXPECT_FALSE(m.adjacent(7, 7));
+    EXPECT_EQ(m.distance(3, n - 2), 1);
+    EXPECT_EQ(m.distance(3, 3), 0);
+    EXPECT_EQ(m.next_hop(0, n - 1), 0); // already adjacent
+    EXPECT_TRUE(m.connected_subset({0, n / 2, n - 1}));
+    EXPECT_THROW(m.distance(0, n), std::out_of_range);
+    EXPECT_THROW(m.distance(-1, 0), std::out_of_range);
+    // The listed form agrees with an explicit complete graph.
+    EXPECT_EQ(CouplingMap::full(4).edges(),
+              (std::vector<std::pair<int, int>>{{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}}));
+    EXPECT_FALSE(CouplingMap::linear(3).complete());
+}
+
 TEST(Routing, AdjacentGatesNeedNoSwaps) {
     Circuit c(3);
     c.h(0).cx(0, 1).cx(1, 2);

@@ -551,6 +551,43 @@ TEST(PulseLibraryStore, CorruptEntryRecomputedTransparently) {
     EXPECT_EQ(count_entries(dir.path), 1u) << "the recompute must re-publish";
 }
 
+TEST(PulseLibraryStore, OtherGeneratorTagMissesAndRunsGrape) {
+    TempDir dir;
+    PulseStore store({dir.str()});
+    const auto h = make_block_hamiltonian(1);
+    const LatencySearchOptions opt = cheap_search();
+    {
+        PulseLibrary lib(true);
+        lib.set_store(&store);
+        lib.get_or_generate(h, circuit::hadamard(), opt);
+    }
+    // What another generator version would have left behind: the same entry
+    // under its key with a different tag, and no entry under this one's.
+    fs::path original;
+    for (const auto& e : fs::directory_iterator(dir.path))
+        if (e.path().extension() == ".pulse") original = e.path();
+    const std::optional<store::PackEntry> entry = PulseStore::read_entry_file(original);
+    ASSERT_TRUE(entry.has_value());
+    const std::string tag = std::string("|") + kGeneratorTag;
+    ASSERT_GE(entry->key.size(), tag.size());
+    ASSERT_EQ(entry->key.substr(entry->key.size() - tag.size()), tag) << entry->key;
+    const std::optional<LatencyResult> stored = decode_latency_result(entry->payload);
+    ASSERT_TRUE(stored.has_value());
+    store.store(entry->key.substr(0, entry->key.size() - tag.size()) + "|gen:0", *stored);
+    ASSERT_TRUE(fs::remove(original));
+    ASSERT_EQ(count_entries(dir.path), 1u);
+
+    PulseLibrary fresh(true);
+    fresh.set_store(&store);
+    util::Tracer tracer(true);
+    fresh.set_tracer(&tracer);
+    fresh.get_or_generate(h, circuit::hadamard(), opt);
+    EXPECT_EQ(fresh.stats().store_hits, 0u);
+    EXPECT_EQ(fresh.stats().store_misses, 1u);
+    EXPECT_GT(tracer.report().counter("qoc.grape_runs"), 0u)
+        << "a pulse from another generator version was served";
+}
+
 TEST(PulseLibraryStore, TwoLibrariesShareOneStoreUnderHammer) {
     TempDir dir;
     PulseStore store({dir.str()});
