@@ -74,23 +74,23 @@ int main(int argc, char** argv) {
     std::vector<Row> rows;
 
     for (const std::string& name : devices) {
-        core::EpocOptions opt = base;
-        opt.backend = registry.find(name);
-        if (opt.backend == nullptr) {
+        core::CompileCallOptions call;
+        call.backend = registry.find(name);
+        if (call.backend == nullptr) {
             std::fprintf(stderr, "registry lost built-in '%s'\n", name.c_str());
             return 1;
         }
         Row row;
         row.name = name;
         {
-            core::EpocCompiler cold(opt);
-            row.cold = cold.compile(c);
+            core::EpocCompiler cold(base);
+            row.cold = cold.compile(c, call);
             row.digest_cold = qoc::fnv1a64(core::schedule_to_json(row.cold.schedule));
             row.cold_hits = row.cold.store_stats.hits;
         }
         {
-            core::EpocCompiler warm(opt); // fresh library, same directory
-            const core::EpocResult r = warm.compile(c);
+            core::EpocCompiler warm(base); // fresh library, same directory
+            const core::EpocResult r = warm.compile(c, call);
             row.digest_warm = qoc::fnv1a64(core::schedule_to_json(r.schedule));
             row.warm_hits = r.store_stats.hits;
         }

@@ -50,10 +50,12 @@ std::size_t fallback_count(const core::EpocResult& r) {
 }
 
 core::EpocResult timed_compile(core::EpocOptions opt, const circuit::Circuit& c,
-                               double& wall_ms) {
+                               double& wall_ms, double deadline_ms = 0.0) {
     core::EpocCompiler compiler(std::move(opt));
+    core::CompileCallOptions call;
+    call.deadline_ms = deadline_ms;
     const auto t0 = std::chrono::steady_clock::now();
-    core::EpocResult r = compiler.compile(c);
+    core::EpocResult r = compiler.compile(c, call);
     wall_ms = std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
                                                         t0)
                   .count();
@@ -89,10 +91,8 @@ int main() {
                 "fallbacks", "wall[ms]", "hit");
     const circuit::Circuit qft3 = bench::qft(3);
     for (const double ms : {0.0, 1.0, 10.0, 100.0, 1000.0}) {
-        core::EpocOptions opt = bench_options();
-        opt.deadline_ms = ms;
         double wall = 0.0;
-        const core::EpocResult r = timed_compile(std::move(opt), qft3, wall);
+        const core::EpocResult r = timed_compile(bench_options(), qft3, wall, ms);
         std::printf("%12.1f %12.1f %8.4f %7zu/%zu %9.1f %9s\n", ms, r.latency_ns, r.esp,
                     fallback_count(r), r.block_reports.size(), wall,
                     r.deadline_hit ? "yes" : "no");

@@ -86,7 +86,6 @@ int main(int argc, char** argv) {
         core::EpocCompiler warm(opt);
         for (std::size_t i = 0; i < rows.size(); ++i) {
             std::fprintf(stderr, "  warm   %-10s...\n", rows[i].name.c_str());
-            warm.tracer().reset(); // per-circuit grape_runs, not cumulative
             const core::EpocResult r = warm.compile(suite[i].circuit);
             rows[i].warm_ms = r.compile_ms;
             rows[i].digest_warm = qoc::fnv1a64(core::schedule_to_json(r.schedule));
@@ -127,7 +126,6 @@ int main(int argc, char** argv) {
         core::EpocCompiler packed(popt);
         for (std::size_t i = 0; i < rows.size(); ++i) {
             std::fprintf(stderr, "  packed %-10s...\n", rows[i].name.c_str());
-            packed.tracer().reset();
             const core::EpocResult r = packed.compile(suite[i].circuit);
             rows[i].packed_ms = r.compile_ms;
             rows[i].digest_packed =

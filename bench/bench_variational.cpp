@@ -155,8 +155,8 @@ int main() {
         std::uint64_t total = 0;
         for (int i = 0; i < kIters; ++i) {
             const auto [gamma, beta] = angles(i);
-            total = compiler.compile(qaoa_ring(gamma, beta))
-                        .trace.counter("qoc.grape_iterations");
+            total += compiler.compile(qaoa_ring(gamma, beta))
+                         .trace.counter("qoc.grape_iterations");
         }
         iters_by_mode[warm ? 1 : 0] = total;
         std::printf("  %-14s total GRAPE iterations: %8llu\n",

@@ -93,8 +93,8 @@ int run_sweep() {
                         last_digest == qoc::fnv1a64(core::schedule_to_json(cold.schedule));
     }
 
-    // Warm-vs-cold GRAPE work for the same sweep (counters accumulate across
-    // compiles, so the final report totals the run).
+    // Warm-vs-cold GRAPE work for the same sweep: each compile's trace holds
+    // its own counters, so the run's total is their sum.
     std::uint64_t grape_iters[2] = {0, 0};
     for (const bool warm : {false, true}) {
         core::EpocOptions wopt = base;
@@ -102,7 +102,7 @@ int run_sweep() {
         wopt.trace_enabled = true;
         core::EpocCompiler compiler(wopt);
         for (int i = 0; i < kIters; ++i)
-            grape_iters[warm ? 1 : 0] =
+            grape_iters[warm ? 1 : 0] +=
                 compiler.compile(qaoa(i)).trace.counter("qoc.grape_iterations");
     }
 
@@ -213,11 +213,12 @@ int main(int argc, char** argv) {
     eopt.regroup_opt.max_qubits = 4;
     // The store line reports GRAPE-run counts, which come from the tracer.
     eopt.trace_enabled = !trace_path.empty() || !store_dir.empty();
-    eopt.deadline_ms = deadline_ms;
     eopt.pulse_store_dir = store_dir;
     eopt.pulse_pack_dirs = pack_dirs;
     eopt.verify_level = verify_level;
-    eopt.backend = be;
+    core::CompileCallOptions call;
+    call.deadline_ms = deadline_ms;
+    call.backend = be;
     if (be != nullptr)
         std::printf("backend: %s (%d qubits, %zu edges)\n\n", be->name.c_str(),
                     be->coupling.num_qubits(), be->coupling.edges().size());
@@ -226,7 +227,7 @@ int main(int argc, char** argv) {
         const std::size_t n = epoc_compiler.store()->corrupt_all_entries_for_test();
         std::fprintf(stderr, "corrupted %zu store entries (post-checksum)\n", n);
     }
-    const core::EpocResult re = epoc_compiler.compile(c);
+    const core::EpocResult re = epoc_compiler.compile(c, call);
     if (re.degraded) {
         std::size_t fallbacks = 0;
         for (const core::BlockReport& br : re.block_reports)

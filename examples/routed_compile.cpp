@@ -1,21 +1,21 @@
 // Full traditional-flow demo (paper Figure 1 left column, then EPOC):
-// parse an OpenQASM program, map/route it onto a coupled device, then
-// generate pulses with EPOC and print the timeline.
+// parse an OpenQASM program, compile it onto a coupled device with EPOC and
+// print the timeline.
 //
 // Usage: routed_compile [program.qasm] [--backend NAME]
-//   Without --backend the program is pre-routed onto a linear chain with
-//   circuit::route() and compiled device-free — the historical flow.
-//   With --backend NAME (linear-5, ring-8, grid-3x3, heavy-hex-7, full-N)
-//   the *compiler itself* is topology-aware: no pre-routing pass, the
-//   partitioner keeps blocks on coupling-connected qubits and bridges
+//   The compiler itself is topology-aware: there is no pre-routing pass.
+//   The partitioner keeps blocks on coupling-connected qubits and bridges
 //   non-adjacent gates along shortest paths, and every pulse is optimized
-//   against that backend's edge-resolved Hamiltonians.
+//   against the backend's edge-resolved Hamiltonians. --backend NAME picks
+//   the device (linear-5, ring-8, grid-3x3, heavy-hex-7, full-N); without
+//   it the program compiles on a linear chain of its own width (the typical
+//   transmon line).
 #include "backend/backend.h"
 #include "circuit/qasm.h"
-#include "circuit/routing.h"
 #include "epoc/export.h"
 #include "epoc/pipeline.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -69,13 +69,11 @@ h q[0];
                     logical.num_qubits(), logical.size(), logical.depth());
     }
 
-    core::EpocOptions opt;
-    const circuit::Circuit* program = &logical;
-    circuit::RoutingResult routed;
+    std::shared_ptr<const backend::Backend> be;
     if (!backend_name.empty()) {
         backend::BackendRegistry registry;
-        opt.backend = registry.find(backend_name);
-        if (opt.backend == nullptr) {
+        be = registry.find(backend_name);
+        if (be == nullptr) {
             std::fprintf(stderr, "unknown backend '%s'; built-ins:",
                          backend_name.c_str());
             for (const std::string& n : registry.names())
@@ -83,29 +81,25 @@ h q[0];
             std::fprintf(stderr, " full-N\n");
             return 2;
         }
-        if (logical.num_qubits() > opt.backend->coupling.num_qubits()) {
+        if (logical.num_qubits() > be->coupling.num_qubits()) {
             std::fprintf(stderr, "program needs %d qubits but backend '%s' has %d\n",
-                         logical.num_qubits(), opt.backend->name.c_str(),
-                         opt.backend->coupling.num_qubits());
+                         logical.num_qubits(), be->name.c_str(),
+                         be->coupling.num_qubits());
             return 2;
         }
-        std::printf("backend %s: %d qubits, %zu edges — compiling topology-aware "
-                    "(no pre-routing pass)\n",
-                    opt.backend->name.c_str(), opt.backend->coupling.num_qubits(),
-                    opt.backend->coupling.edges().size());
     } else {
-        // Device-free flow: pre-route onto a linear chain (the typical
-        // transmon line) so the gate set is already coupling-feasible.
-        const circuit::CouplingMap device =
-            circuit::CouplingMap::linear(logical.num_qubits());
-        routed = circuit::route(logical, device);
-        std::printf("routed for linear coupling: %zu gates (+%d swaps)\n",
-                    routed.circuit.size(), routed.swaps_inserted);
-        program = &routed.circuit;
+        const int n = std::max(1, logical.num_qubits());
+        be = std::make_shared<const backend::Backend>("linear-" + std::to_string(n),
+                                                      circuit::CouplingMap::linear(n));
     }
+    std::printf("backend %s: %d qubits, %zu edges — compiling topology-aware "
+                "(no pre-routing pass)\n",
+                be->name.c_str(), be->coupling.num_qubits(), be->coupling.edges().size());
 
-    core::EpocCompiler compiler(opt);
-    const core::EpocResult r = compiler.compile(*program);
+    core::EpocCompiler compiler;
+    core::CompileCallOptions call;
+    call.backend = be;
+    const core::EpocResult r = compiler.compile(logical, call);
     std::printf("\nEPOC pulse schedule: latency %.1f ns, ESP %.4f (with decoherence %.4f)\n\n",
                 r.latency_ns, r.esp, r.esp_decoherent);
     std::printf("%s\n", core::ascii_timeline(r.schedule).c_str());

@@ -88,8 +88,14 @@ struct Backend {
 /// leakage levels are targeted to identity. levels == 2 returns u unchanged.
 linalg::Matrix embed_in_levels(const linalg::Matrix& u, int num_qubits, int levels);
 
+/// Widest device backend_from_json accepts. A coupling map keeps an
+/// all-pairs distance table, so this keeps it at 64 MiB.
+inline constexpr int kMaxBackendQubits = 4096;
+
 /// Parse a backend from a JSON object (see DESIGN.md §4i for the schema).
-/// Throws std::invalid_argument on malformed JSON or inconsistent data.
+/// Throws std::invalid_argument on malformed JSON, nesting deeper than 32,
+/// a width outside [1, kMaxBackendQubits], a non-integer or out-of-range
+/// integer field, or inconsistent data — and on nothing else.
 Backend backend_from_json(const std::string& text);
 
 /// Named-device registry. Construction installs the built-in devices

@@ -4,10 +4,16 @@
 // backend schema only (objects, arrays, strings, numbers, booleans) — the
 // repo takes no third-party dependencies, and the full generality of JSON
 // (escapes beyond the basics, huge nesting) is not needed for device files.
+// Device files are untrusted input (epocd's --backend-json): nesting depth
+// and device width are capped before any recursion or allocation could run
+// away, every number read as an integer is range-checked before conversion,
+// and every rejection is std::invalid_argument.
 #include "backend/backend.h"
 
 #include <algorithm>
 #include <cctype>
+#include <climits>
+#include <cmath>
 #include <map>
 #include <stdexcept>
 #include <string>
@@ -39,6 +45,9 @@ class JsonParser {
 public:
     explicit JsonParser(const std::string& text) : s_(text) {}
 
+    /// Deepest array/object nesting accepted; the backend schema needs 3.
+    static constexpr int kMaxDepth = 32;
+
     JsonValue parse() {
         JsonValue v = value();
         skip_ws();
@@ -49,6 +58,18 @@ public:
 private:
     const std::string& s_;
     std::size_t pos_ = 0;
+    int depth_ = 0;
+
+    /// Enters one array/object level for its scope, so the recursion stays
+    /// bounded whatever the input.
+    struct Nest {
+        explicit Nest(JsonParser& p) : p_(p) {
+            if (++p_.depth_ > kMaxDepth)
+                p_.fail("nesting deeper than " + std::to_string(kMaxDepth));
+        }
+        ~Nest() { --p_.depth_; }
+        JsonParser& p_;
+    };
 
     [[noreturn]] void fail(const std::string& what) const {
         throw std::invalid_argument("backend JSON: " + what + " at offset " +
@@ -99,6 +120,7 @@ private:
     }
 
     JsonValue object() {
+        const Nest nest(*this);
         expect('{');
         JsonObject out;
         skip_ws();
@@ -123,6 +145,7 @@ private:
     }
 
     JsonValue array() {
+        const Nest nest(*this);
         expect('[');
         JsonArray out;
         skip_ws();
@@ -203,13 +226,17 @@ double require_number(const JsonObject& o, const std::string& key) {
     return std::get<double>(v->v);
 }
 
+/// `d` as an int, range-checked before the conversion (which is undefined
+/// behaviour for a value outside int, e.g. 1e300 or NaN).
+int to_int(double d, const std::string& what) {
+    if (!(d >= static_cast<double>(INT_MIN) && d <= static_cast<double>(INT_MAX)) ||
+        std::trunc(d) != d)
+        throw std::invalid_argument("backend JSON: " + what + " is not an integer");
+    return static_cast<int>(d);
+}
+
 int require_int(const JsonObject& o, const std::string& key) {
-    const double d = require_number(o, key);
-    const int i = static_cast<int>(d);
-    if (static_cast<double>(i) != d)
-        throw std::invalid_argument("backend JSON: field '" + key +
-                                    "' is not an integer");
-    return i;
+    return to_int(require_number(o, key), "field '" + key + "'");
 }
 
 void read_optional_number(const JsonObject& o, const std::string& key, double& out) {
@@ -233,6 +260,11 @@ Backend backend_from_json(const std::string& text) {
     if (name_v == nullptr || !name_v->is_string())
         throw std::invalid_argument("backend JSON: missing string field 'name'");
     const int nq = require_int(o, "num_qubits");
+    // Checked before any map is built: the coupling map's distance table
+    // grows with the square of the width.
+    if (nq < 1 || nq > kMaxBackendQubits)
+        throw std::invalid_argument("backend JSON: 'num_qubits' must be in [1, " +
+                                    std::to_string(kMaxBackendQubits) + "]");
 
     const JsonValue* edges_v = get_field(o, "edges");
     if (edges_v == nullptr || !edges_v->is_array())
@@ -244,8 +276,8 @@ Backend backend_from_json(const std::string& text) {
         const JsonArray& pair = std::get<JsonArray>(e.v);
         if (!pair[0].is_number() || !pair[1].is_number())
             throw std::invalid_argument("backend JSON: edge endpoints must be numbers");
-        edges.emplace_back(static_cast<int>(std::get<double>(pair[0].v)),
-                           static_cast<int>(std::get<double>(pair[1].v)));
+        edges.emplace_back(to_int(std::get<double>(pair[0].v), "edge endpoint"),
+                           to_int(std::get<double>(pair[1].v), "edge endpoint"));
     }
 
     qoc::DeviceParams base;

@@ -51,8 +51,8 @@ Matrix rz_matrix(double theta) {
 
 Matrix u3_matrix(double theta, double phi, double lambda) {
     const double c = std::cos(theta / 2), s = std::sin(theta / 2);
-    return Matrix{{cplx{c, 0}, -std::polar(s, lambda)},
-                  {std::polar(s, phi), std::polar(c, phi + lambda)}};
+    return Matrix{{cplx{c, 0}, -linalg::scaled_phase(s, lambda)},
+                  {linalg::scaled_phase(s, phi), linalg::scaled_phase(c, phi + lambda)}};
 }
 
 int kind_arity(GateKind k) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <deque>
-#include <numeric>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -127,77 +126,6 @@ int CouplingMap::next_hop(int a, int b) const {
     for (const int w : adj_.at(static_cast<std::size_t>(a)))
         if (distance(w, b) == distance(a, b) - 1) return w;
     throw std::logic_error("CouplingMap::next_hop: no progress (disconnected?)");
-}
-
-RoutingResult route(const Circuit& c, const CouplingMap& map) {
-    if (c.num_qubits() > map.num_qubits())
-        throw std::invalid_argument("route: circuit wider than device");
-    RoutingResult res;
-    res.circuit = Circuit(map.num_qubits());
-    // layout[q] = physical location of logical q; phys_to_log inverse.
-    std::vector<int> layout(static_cast<std::size_t>(map.num_qubits()));
-    std::iota(layout.begin(), layout.end(), 0);
-    std::vector<int> phys_to_log = layout;
-
-    const auto do_swap = [&](int pa, int pb) {
-        res.circuit.swap(pa, pb);
-        ++res.swaps_inserted;
-        const int la = phys_to_log[static_cast<std::size_t>(pa)];
-        const int lb = phys_to_log[static_cast<std::size_t>(pb)];
-        std::swap(phys_to_log[static_cast<std::size_t>(pa)],
-                  phys_to_log[static_cast<std::size_t>(pb)]);
-        layout[static_cast<std::size_t>(la)] = pb;
-        layout[static_cast<std::size_t>(lb)] = pa;
-    };
-
-    for (const Gate& g : c.gates()) {
-        if (g.arity() > 2)
-            throw std::invalid_argument("route: decompose gates wider than 2 qubits first");
-        Gate mapped = g;
-        if (g.arity() == 1) {
-            mapped.qubits[0] = layout[static_cast<std::size_t>(g.qubits[0])];
-        } else {
-            // Walk the first operand toward the second until adjacent.
-            while (true) {
-                const int pa = layout[static_cast<std::size_t>(g.qubits[0])];
-                const int pb = layout[static_cast<std::size_t>(g.qubits[1])];
-                if (map.adjacent(pa, pb)) break;
-                do_swap(pa, map.next_hop(pa, pb));
-            }
-            mapped.qubits[0] = layout[static_cast<std::size_t>(g.qubits[0])];
-            mapped.qubits[1] = layout[static_cast<std::size_t>(g.qubits[1])];
-        }
-        res.circuit.add(std::move(mapped));
-    }
-    res.final_layout.assign(layout.begin(),
-                            layout.begin() + c.num_qubits());
-    return res;
-}
-
-Circuit restore_layout_circuit(const std::vector<int>& final_layout) {
-    int n = static_cast<int>(final_layout.size());
-    for (const int p : final_layout) n = std::max(n, p + 1);
-    // content[p] = logical qubit held at physical p, or -1 for an untracked
-    // (|0>, "blank") slot; blanks may end up anywhere.
-    std::vector<int> content(static_cast<std::size_t>(n), -1);
-    for (std::size_t q = 0; q < final_layout.size(); ++q)
-        content[static_cast<std::size_t>(final_layout[q])] = static_cast<int>(q);
-
-    Circuit c(n);
-    for (int target = 0; target < static_cast<int>(final_layout.size()); ++target) {
-        if (content[static_cast<std::size_t>(target)] == target) continue;
-        int src = -1;
-        for (int p = 0; p < n; ++p)
-            if (content[static_cast<std::size_t>(p)] == target) {
-                src = p;
-                break;
-            }
-        if (src < 0) throw std::logic_error("restore_layout_circuit: lost a logical qubit");
-        c.swap(src, target);
-        std::swap(content[static_cast<std::size_t>(src)],
-                  content[static_cast<std::size_t>(target)]);
-    }
-    return c;
 }
 
 } // namespace epoc::circuit

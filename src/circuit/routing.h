@@ -1,11 +1,10 @@
-// Qubit mapping and routing for constrained device topologies.
+// Device coupling graphs.
 //
 // The traditional compilation flow in the paper's Figure 1 maps circuits to
-// the target machine's coupling graph before pulse generation. This module
-// provides the standard greedy shortest-path router: two-qubit gates whose
-// operands are not adjacent on the device are preceded by SWAPs that walk
-// the operands together, with the logical-to-physical layout tracked
-// throughout.
+// the target machine's coupling graph before pulse generation. EPOC does
+// that mapping inside the compiler: partitioning keeps blocks on connected
+// qubits and bridges non-adjacent gates along the shortest paths this map
+// answers (adjacency, hop distance, next hop).
 #pragma once
 
 #include "circuit/circuit.h"
@@ -53,19 +52,5 @@ private:
     std::vector<std::vector<int>> adj_;
     std::vector<std::vector<int>> dist_;
 };
-
-struct RoutingResult {
-    Circuit circuit;               ///< routed circuit over physical qubits
-    std::vector<int> final_layout; ///< logical q resides at physical final_layout[q]
-    int swaps_inserted = 0;
-};
-
-/// Route a circuit of arity <= 2 gates onto the device (identity initial
-/// layout). Throws std::invalid_argument for wider gates: decompose first.
-RoutingResult route(const Circuit& c, const CouplingMap& map);
-
-/// Test helper: a SWAP circuit that undoes `final_layout`, so that
-/// (restore o routed) == original as a unitary (topology-unconstrained).
-Circuit restore_layout_circuit(const std::vector<int>& final_layout);
 
 } // namespace epoc::circuit

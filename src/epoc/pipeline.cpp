@@ -108,6 +108,42 @@ Gate global_gate(const Gate& g, const partition::CircuitBlock& blk) {
     return out;
 }
 
+/// The pulse target of one gate: the physical qubits the pulse spans and
+/// the gate unitary over them, lifted to the 3-level space when the backend
+/// models leakage. A gate whose operands couple directly targets its own
+/// unitary over its operands, in operand order; one that needs shortest-path
+/// qubits to connect them targets the gate embedded over the sorted union.
+struct PulseTarget {
+    std::vector<int> qubits;
+    Matrix target;
+};
+
+PulseTarget gate_pulse_target(const backend::Backend& be, const Gate& g) {
+    // Physical support: the operands plus any shortest-path qubits needed to
+    // connect them, so the resolved Hamiltonian actually couples every
+    // operand pair (a pulse over a disconnected set cannot entangle it).
+    std::set<int> support(g.qubits.begin(), g.qubits.end());
+    for (std::size_t i = 1; i < g.qubits.size(); ++i) {
+        int cur = g.qubits[0];
+        while (cur != g.qubits[i] && !be.coupling.adjacent(cur, g.qubits[i])) {
+            cur = be.coupling.next_hop(cur, g.qubits[i]);
+            support.insert(cur);
+        }
+    }
+    const int width = static_cast<int>(support.size());
+    // Operands that couple directly: the gate's own unitary, operand order.
+    if (support.size() == g.qubits.size())
+        return PulseTarget{g.qubits, backend::embed_in_levels(g.unitary(), width, be.levels)};
+    std::vector<int> qs(support.begin(), support.end()); // sorted by std::set
+    std::vector<int> locals;
+    locals.reserve(g.qubits.size());
+    for (const int q : g.qubits)
+        locals.push_back(static_cast<int>(
+            std::lower_bound(qs.begin(), qs.end(), q) - qs.begin()));
+    const Matrix u = circuit::embed_gate(g.unitary(), locals, width);
+    return PulseTarget{std::move(qs), backend::embed_in_levels(u, width, be.levels)};
+}
+
 /// Worst-outcome-wins fold for fragments auditing several pulses (the
 /// gate-by-gate rung): failed > unverified > passed > not_checked.
 verify::Outcome combine(verify::Outcome a, verify::Outcome b) {
@@ -177,31 +213,13 @@ struct EpocCompiler::PulseFragment {
     double audit_err = 0.0; ///< per-unit contribution to the error budget
 };
 
-EpocCompiler::EpocCompiler(EpocOptions opt)
-    : opt_(std::move(opt)),
-      tracer_(opt_.trace_enabled),
-      // The level comes from verify_level + EPOC_VERIFY (env wins only over
-      // `unset`); every other verifier knob keeps its default.
-      verifier_(verify::VerifyOptions{.level = verify::resolve_level(opt_.verify_level)},
-                &tracer_),
-      pool_(opt_.num_threads),
-      library_(opt_.phase_aware_library) {
-    library_.set_tracer(&tracer_);
-    std::string store_dir = opt_.pulse_store_dir;
-    if (store_dir.empty()) store_dir = store::PulseStore::dir_from_env();
-    bool have_packs = false;
-    if (!store_dir.empty()) {
-        store::PulseStoreOptions sopt;
-        sopt.dir = store_dir;
-        sopt.max_bytes = opt_.pulse_store_max_bytes;
-        sopt.pack_dirs = opt_.pulse_pack_dirs;
-        if (sopt.pack_dirs.empty())
-            sopt.pack_dirs = store::PulseStore::pack_dirs_from_env();
-        have_packs = !sopt.pack_dirs.empty();
-        store_ = std::make_unique<store::PulseStore>(std::move(sopt));
-        library_.set_store(store_.get());
-    }
-    if ((verifier_.enabled() || have_packs) && store_ != nullptr) {
+struct EpocCompiler::CompileContext {
+    CompileContext(const backend::Backend& device, const CompileCallOptions& call, bool traced,
+                   const verify::Verifier& verifier)
+        : be(device), trace(traced), tally(&trace) {
+        if (call.deadline_ms > 0.0) deadline = util::Deadline::after_ms(call.deadline_ms);
+        deadline.link(call.cancel);
+        lookup.trace = &trace;
         // Store revalidation: sampled re-simulation of L2 hits, catching
         // post-checksum damage (bytes intact, physics wrong). The sampling
         // decision keys on the store key itself so it is deterministic across
@@ -213,14 +231,53 @@ EpocCompiler::EpocCompiler(EpocOptions opt)
         // it is trusted, even at verify level off — revalidate() is
         // level-independent and fail-open, so a shipped library costs one
         // forward simulation per first use of each entry, not a GRAPE run.
-        library_.set_revalidator([this](const std::string& key,
-                                        const qoc::BlockHamiltonian& h,
-                                        const Matrix& target,
-                                        const qoc::LatencyResult& r, bool foreign) {
-            if (foreign) return verifier_.revalidate(h, target, r, /*foreign=*/true);
-            if (!verifier_.should_check_key(key)) return true;
-            return verifier_.revalidate(h, target, r);
-        });
+        lookup.revalidate = [this, &verifier](const std::string& key,
+                                              const qoc::BlockHamiltonian& h,
+                                              const Matrix& target,
+                                              const qoc::LatencyResult& r, bool foreign) {
+            if (!foreign && !verifier.should_check_key(key)) return true;
+            return verifier.revalidate(tally, h, target, r, foreign);
+        };
+    }
+
+    // The revalidation hook and the tally hold this object's address.
+    CompileContext(const CompileContext&) = delete;
+    CompileContext& operator=(const CompileContext&) = delete;
+
+    /// Why the expired deadline expired: this call's own token fired, or its
+    /// budget ran out.
+    util::Cause expiry_cause() const {
+        const util::CancelToken* token = deadline.token();
+        return (token != nullptr && token->cancelled()) ? util::Cause::cancelled
+                                                        : util::Cause::timeout;
+    }
+
+    const backend::Backend& be;
+    util::Deadline deadline;
+    util::Tracer trace;
+    verify::VerifyTally tally;
+    qoc::PulseLookup lookup;
+};
+
+EpocCompiler::EpocCompiler(EpocOptions opt)
+    : opt_(std::move(opt)),
+      tracer_(opt_.trace_enabled),
+      // The level comes from verify_level + EPOC_VERIFY (env wins only over
+      // `unset`); every other verifier knob keeps its default.
+      verifier_(verify::VerifyOptions{.level = verify::resolve_level(opt_.verify_level)}),
+      pool_(opt_.num_threads),
+      library_(opt_.phase_aware_library) {
+    std::string store_dir = opt_.pulse_store_dir;
+    if (store_dir.empty()) store_dir = store::PulseStore::dir_from_env();
+    if (!store_dir.empty()) {
+        store::PulseStoreOptions sopt;
+        sopt.dir = store_dir;
+        sopt.max_bytes = opt_.pulse_store_max_bytes;
+        sopt.pack_dirs = opt_.pulse_pack_dirs;
+        if (sopt.pack_dirs.empty())
+            sopt.pack_dirs = store::PulseStore::pack_dirs_from_env();
+        store_ = std::make_unique<store::PulseStore>(std::move(sopt));
+        library_.set_store(store_.get());
     }
 }
 
@@ -237,46 +294,9 @@ const qoc::BlockHamiltonian& EpocCompiler::block_hamiltonian(const backend::Back
     return it->second;
 }
 
-EpocCompiler::PulseTarget EpocCompiler::gate_pulse_target(const backend::Backend& be,
-                                                          const Gate& g) const {
-    // Physical support: the operands plus any shortest-path qubits needed to
-    // connect them, so the resolved Hamiltonian actually couples every
-    // operand pair (a pulse over a disconnected set cannot entangle it).
-    std::set<int> support(g.qubits.begin(), g.qubits.end());
-    for (std::size_t i = 1; i < g.qubits.size(); ++i) {
-        int cur = g.qubits[0];
-        while (cur != g.qubits[i] && !be.coupling.adjacent(cur, g.qubits[i])) {
-            cur = be.coupling.next_hop(cur, g.qubits[i]);
-            support.insert(cur);
-        }
-    }
-    const int width = static_cast<int>(support.size());
-    // Operands that couple directly: the gate's own unitary, operand order.
-    if (support.size() == g.qubits.size())
-        return PulseTarget{g.qubits, backend::embed_in_levels(g.unitary(), width, be.levels)};
-    std::vector<int> qs(support.begin(), support.end()); // sorted by std::set
-    std::vector<int> locals;
-    locals.reserve(g.qubits.size());
-    for (const int q : g.qubits)
-        locals.push_back(static_cast<int>(
-            std::lower_bound(qs.begin(), qs.end(), q) - qs.begin()));
-    const Matrix u = circuit::embed_gate(g.unitary(), locals, width);
-    return PulseTarget{std::move(qs), backend::embed_in_levels(u, width, be.levels)};
-}
-
-util::Cause EpocCompiler::expiry_cause(const util::Deadline& deadline) const {
-    // The deadline carries the per-call token (which may be opt_.cancel or a
-    // CompileCallOptions override): ask it, not the configured default, so a
-    // daemon job cancelled by its own client is reported as cancelled even
-    // while other jobs' tokens stay untouched.
-    const util::CancelToken* token = deadline.token();
-    return (token != nullptr && token->cancelled()) ? util::Cause::cancelled
-                                                    : util::Cause::timeout;
-}
-
 EpocCompiler::AuditedPulse EpocCompiler::audit_pulse_result(
     std::shared_ptr<const qoc::LatencyResult> lr, const qoc::BlockHamiltonian& h,
-    const Matrix& target, const qoc::LatencySearchOptions& lopt,
+    const Matrix& target, const qoc::LatencySearchOptions& lopt, CompileContext& ctx,
     util::BlockStatus& status) {
     AuditedPulse out;
     out.result = std::move(lr);
@@ -290,7 +310,7 @@ EpocCompiler::AuditedPulse EpocCompiler::audit_pulse_result(
 
     double err = 0.0;
     double resim = 0.0;
-    out.outcome = verifier_.audit_pulse(h, target, *out.result, &err, &resim);
+    out.outcome = verifier_.audit_pulse(ctx.tally, h, target, *out.result, &err, &resim);
     out.audit_err = err;
     out.fidelity = resim;
     if (out.outcome != verify::Outcome::failed) return out;
@@ -299,11 +319,11 @@ EpocCompiler::AuditedPulse EpocCompiler::audit_pulse_result(
     // simulated physics. Evict exactly the rejected value from memory and
     // store (compare-and-evict, so concurrent holders trigger one
     // regeneration) and audit the honest re-run.
-    tracer_.add_counter("verify.pulse_audit_failures");
-    verifier_.note_recompute();
+    ctx.trace.add_counter("verify.pulse_audit_failures");
+    ctx.tally.recomputes.fetch_add(1, std::memory_order_relaxed);
     const std::shared_ptr<const qoc::LatencyResult> fresh =
-        library_.regenerate(h, target, lopt, out.result);
-    out.outcome = verifier_.audit_pulse(h, target, *fresh, &err, &resim);
+        library_.regenerate(h, target, lopt, out.result, ctx.lookup);
+    out.outcome = verifier_.audit_pulse(ctx.tally, h, target, *fresh, &err, &resim);
     out.result = fresh;
     out.audit_err = err;
     out.fidelity = resim;
@@ -322,10 +342,10 @@ EpocCompiler::AuditedPulse EpocCompiler::audit_pulse_result(
 }
 
 Circuit EpocCompiler::synthesize_blocks(const std::vector<partition::CircuitBlock>& blocks,
-                                        int num_qubits, double& synth_ms,
-                                        const util::Deadline& deadline, EpocResult& res,
-                                        const backend::Backend& be) {
+                                        int num_qubits, CompileContext& ctx,
+                                        EpocResult& res) {
     const auto t0 = std::chrono::steady_clock::now();
+    const util::Deadline& deadline = ctx.deadline;
 
     std::vector<SynthFragment> fragments(blocks.size());
     pool_.parallel_for(
@@ -334,7 +354,7 @@ Circuit EpocCompiler::synthesize_blocks(const std::vector<partition::CircuitBloc
             const partition::CircuitBlock& blk = blocks[i];
             SynthFragment& frag = fragments[i];
             frag.visited = true;
-            const util::Tracer::Span span = tracer_.span(
+            const util::Tracer::Span span = ctx.trace.span(
                 "synth block " + std::to_string(i) + " (" +
                     std::to_string(blk.qubits.size()) + "q)",
                 "synthesis");
@@ -344,9 +364,9 @@ Circuit EpocCompiler::synthesize_blocks(const std::vector<partition::CircuitBloc
                     // attempting synthesis (it is an optimization, never an
                     // obligation).
                     frag.use_original = true;
-                    frag.status.cause = expiry_cause(deadline);
+                    frag.status.cause = ctx.expiry_cause();
                     frag.status.fallback_taken = true;
-                    tracer_.add_counter("robust.deadline_skips");
+                    ctx.trace.add_counter("robust.deadline_skips");
                     return;
                 }
                 util::fault::maybe_throw("synth.block");
@@ -377,7 +397,7 @@ Circuit EpocCompiler::synthesize_blocks(const std::vector<partition::CircuitBloc
                 const auto audit_synth = [&]() {
                     if (!audit_this) return true;
                     frag.verify =
-                        verifier_.check_synthesized_block(u, frag.local, synth_tol);
+                        verifier_.check_synthesized_block(ctx.tally, u, frag.local, synth_tol);
                     return frag.verify != verify::Outcome::failed;
                 };
                 // Deterministic analytic paths (ZYZ, KAK) fall straight back
@@ -390,8 +410,8 @@ Circuit EpocCompiler::synthesize_blocks(const std::vector<partition::CircuitBloc
                     frag.status.cause = util::Cause::verify_failed;
                     frag.status.fallback_taken = true;
                     frag.status.detail = "synthesis audit failed; original gates kept";
-                    tracer_.add_counter("verify.synth_audit_failures");
-                    tracer_.add_counter("robust.synth_fallbacks");
+                    ctx.trace.add_counter("verify.synth_audit_failures");
+                    ctx.trace.add_counter("robust.synth_fallbacks");
                 };
 
                 if (blk.qubits.size() == 1) {
@@ -408,7 +428,7 @@ Circuit EpocCompiler::synthesize_blocks(const std::vector<partition::CircuitBloc
                     // Analytic fast path: exact, so the keep-original heuristic
                     // below compares on entangling content via the peepholed
                     // KAK circuit.
-                    tracer_.add_counter("synth.kak_fast_path");
+                    ctx.trace.add_counter("synth.kak_fast_path");
                     const circuit::Circuit kc =
                         circuit::peephole_optimize(synthesis::kak_synthesize(u));
                     if (kc.two_qubit_count() <= blk.body.two_qubit_count()) {
@@ -429,7 +449,7 @@ Circuit EpocCompiler::synthesize_blocks(const std::vector<partition::CircuitBloc
                 std::string key = linalg::phase_canonical_key(u, 6) + "|T:";
                 for (std::size_t a = 0; a < blk.qubits.size(); ++a)
                     for (std::size_t b = a + 1; b < blk.qubits.size(); ++b)
-                        if (be.coupling.adjacent(blk.qubits[a], blk.qubits[b])) {
+                        if (ctx.be.coupling.adjacent(blk.qubits[a], blk.qubits[b])) {
                             allowed.emplace_back(static_cast<int>(a), static_cast<int>(b));
                             key += std::to_string(a) + "_" + std::to_string(b) + ",";
                         }
@@ -437,7 +457,7 @@ Circuit EpocCompiler::synthesize_blocks(const std::vector<partition::CircuitBloc
                     // Single-flight: exactly one QSearch/LEAP run per
                     // distinct unitary, so these counters match the
                     // sequential schedule for every thread count.
-                    const util::Tracer::Span qspan = tracer_.span(
+                    const util::Tracer::Span qspan = ctx.trace.span(
                         "qsearch " + std::to_string(blk.qubits.size()) + "q",
                         "synthesis");
                     util::fault::maybe_throw("synth.compute");
@@ -446,10 +466,10 @@ Circuit EpocCompiler::synthesize_blocks(const std::vector<partition::CircuitBloc
                     qopt.allowed_pairs = allowed;
                     synthesis::SynthesisResult r = synthesis::qsearch_synthesize(u, qopt);
                     if (!r.converged && !r.timed_out) {
-                        const util::Tracer::Span lspan = tracer_.span(
+                        const util::Tracer::Span lspan = ctx.trace.span(
                             "leap " + std::to_string(blk.qubits.size()) + "q",
                             "synthesis");
-                        tracer_.add_counter("synth.leap_fallbacks");
+                        ctx.trace.add_counter("synth.leap_fallbacks");
                         synthesis::LeapOptions lo;
                         lo.threshold = opt_.qsearch.threshold;
                         lo.instantiate = opt_.qsearch.instantiate;
@@ -458,8 +478,8 @@ Circuit EpocCompiler::synthesize_blocks(const std::vector<partition::CircuitBloc
                         synthesis::SynthesisResult leap = synthesis::leap_synthesize(u, lo);
                         if (leap.distance < r.distance) r = std::move(leap);
                     }
-                    tracer_.add_counter(r.converged ? "synth.converged"
-                                                    : "synth.unconverged");
+                    ctx.trace.add_counter(r.converged ? "synth.converged"
+                                                      : "synth.unconverged");
                     return r;
                 };
                 // Timed-out searches are best-effort, not the answer for this
@@ -472,7 +492,7 @@ Circuit EpocCompiler::synthesize_blocks(const std::vector<partition::CircuitBloc
                 std::shared_ptr<const synthesis::SynthesisResult> sr =
                     synth_cache_.get_or_compute_retrying(
                         key, compute, cacheable, &deadline,
-                        [&] { tracer_.add_counter("synth.waiter_retries"); });
+                        [&] { ctx.trace.add_counter("synth.waiter_retries"); });
                 // Synthesis is an optimization, not an obligation: if the
                 // searched circuit carries no fewer entangling gates than the
                 // original block (or missed the accuracy target), keep the
@@ -483,10 +503,10 @@ Circuit EpocCompiler::synthesize_blocks(const std::vector<partition::CircuitBloc
                      (static_cast<std::size_t>(sr->cnot_count) ==
                           blk.body.two_qubit_count() &&
                       sr->circuit.depth() <= blk.body.depth()));
-                tracer_.add_counter(synth_wins ? "synth.blocks_replaced"
-                                               : "synth.blocks_kept_original");
+                ctx.trace.add_counter(synth_wins ? "synth.blocks_replaced"
+                                                 : "synth.blocks_kept_original");
                 if (sr->timed_out) {
-                    frag.status.cause = expiry_cause(deadline);
+                    frag.status.cause = ctx.expiry_cause();
                     frag.status.fallback_taken = !synth_wins;
                 }
                 if (!synth_wins) {
@@ -505,8 +525,8 @@ Circuit EpocCompiler::synthesize_blocks(const std::vector<partition::CircuitBloc
                 // Recompute-once rung: the cached entry may be poisoned (a
                 // collision, a stale build's result, injected corruption) —
                 // evict exactly that value and re-search before giving up.
-                tracer_.add_counter("verify.synth_audit_failures");
-                verifier_.note_recompute();
+                ctx.trace.add_counter("verify.synth_audit_failures");
+                ctx.tally.recomputes.fetch_add(1, std::memory_order_relaxed);
                 synth_cache_.erase_if(key, sr);
                 sr = synth_cache_.get_or_compute(key, compute, cacheable);
                 frag.local = sr->circuit;
@@ -523,12 +543,12 @@ Circuit EpocCompiler::synthesize_blocks(const std::vector<partition::CircuitBloc
                 frag.status.cause = util::Cause::verify_failed;
                 frag.status.fallback_taken = true;
                 frag.status.detail = "synthesis audit failed after recompute";
-                tracer_.add_counter("robust.synth_fallbacks");
+                ctx.trace.add_counter("robust.synth_fallbacks");
             } catch (...) {
                 frag.skip = false;
                 frag.use_original = true;
-                absorb_exception(frag.status, tracer_);
-                tracer_.add_counter("robust.synth_fallbacks");
+                absorb_exception(frag.status, ctx.trace);
+                ctx.trace.add_counter("robust.synth_fallbacks");
             }
         },
         deadline.token());
@@ -555,7 +575,7 @@ Circuit EpocCompiler::synthesize_blocks(const std::vector<partition::CircuitBloc
         flat.append_mapped(frag.use_original ? blocks[i].body : frag.local,
                            blocks[i].qubits);
     }
-    synth_ms += ms_since(t0);
+    res.synthesis_ms += ms_since(t0);
     return flat;
 }
 
@@ -566,12 +586,12 @@ PulseJob EpocCompiler::placeholder_job(const Gate& g, const backend::Backend& be
 }
 
 void EpocCompiler::pulse_unit(const PulseUnit& unit, std::size_t index, const WarmSlots* warm,
-                              const util::Deadline& deadline, PulseFragment& frag,
-                              const backend::Backend& be) {
+                              CompileContext& ctx, PulseFragment& frag) {
     const partition::CircuitBlock* blk = unit.block;
+    const backend::Backend& be = ctx.be;
     qoc::LatencySearchOptions lopt = opt_.latency;
-    lopt.deadline = &deadline;
-    lopt.grape.deadline = &deadline;
+    lopt.deadline = &ctx.deadline;
+    lopt.grape.deadline = &ctx.deadline;
     if (blk != nullptr) {
         // Coarser duration resolution for big blocks keeps the GRAPE
         // budget bounded (dim-16 propagators are ~8x dim-8 cost).
@@ -585,10 +605,10 @@ void EpocCompiler::pulse_unit(const PulseUnit& unit, std::size_t index, const Wa
     // the budget). The gates fold into the block's status, outcome and budget.
     const auto fall_back = [&] {
         frag.status.fallback_taken = true;
-        tracer_.add_counter("robust.pulse_block_fallbacks");
+        ctx.trace.add_counter("robust.pulse_block_fallbacks");
         for (const Gate& g : blk->body.gates()) {
             const Gate gg = global_gate(g, *blk);
-            pulse_unit(PulseUnit{&gg, nullptr}, 0, nullptr, deadline, frag, be);
+            pulse_unit(PulseUnit{&gg, nullptr}, 0, nullptr, ctx, frag);
         }
     };
     try {
@@ -617,32 +637,32 @@ void EpocCompiler::pulse_unit(const PulseUnit& unit, std::size_t index, const Wa
             std::vector<std::vector<double>> seed = warm->get(index);
             if (!seed.empty()) {
                 seeded.grape.warm_amplitudes = std::move(seed);
-                tracer_.add_counter("qoc.warm_starts");
+                ctx.trace.add_counter("qoc.warm_starts");
             }
         }
         std::shared_ptr<const qoc::LatencyResult> lr =
-            library_.get_or_generate(h, pt.target, seeded);
+            library_.get_or_generate(h, pt.target, seeded, ctx.lookup);
         const bool usable = lr->feasible && lr->authoritative();
         if (warm != nullptr && usable) warm->put(index, lr->pulse.amplitudes);
         if (blk != nullptr && lopt.slot_granularity > opt_.latency.slot_granularity) {
             // Regression guards for the cache-key collision: the coarse
             // arm's pulses must actually carry coarsened slot counts, even
             // when the fine-granularity arm requested the same unitary first.
-            tracer_.add_counter("qoc.coarse_blocks");
-            tracer_.add_counter("qoc.coarse_block_slots",
-                                static_cast<std::uint64_t>(lr->pulse.num_slots()));
+            ctx.trace.add_counter("qoc.coarse_blocks");
+            ctx.trace.add_counter("qoc.coarse_block_slots",
+                                  static_cast<std::uint64_t>(lr->pulse.num_slots()));
             if (lr->pulse.num_slots() % lopt.slot_granularity != 0)
-                tracer_.add_counter("qoc.coarse_granularity_violations");
+                ctx.trace.add_counter("qoc.coarse_granularity_violations");
         }
         // The first cause wins, so a gate on a block's fallback rung leaves
         // the block's own cause standing.
         if (!lr->feasible) {
             if (frag.status.ok()) frag.status.cause = util::Cause::infeasible;
             frag.status.fallback_taken = true;
-            tracer_.add_counter("qoc.infeasible_blocks");
+            ctx.trace.add_counter("qoc.infeasible_blocks");
         } else if (!usable && frag.status.ok()) {
             frag.status.cause = lr->injected    ? util::Cause::injected
-                                : lr->timed_out ? expiry_cause(deadline)
+                                : lr->timed_out ? ctx.expiry_cause()
                                                 : util::Cause::nonfinite;
         }
         // An infeasible or degraded block pulse falls a rung. A single gate
@@ -652,7 +672,7 @@ void EpocCompiler::pulse_unit(const PulseUnit& unit, std::size_t index, const Wa
         // options: the cache key is identical either way, and a recompute
         // must not re-run a possibly-bad seed.
         const AuditedPulse audited =
-            audit_pulse_result(std::move(lr), h, pt.target, lopt, frag.status);
+            audit_pulse_result(std::move(lr), h, pt.target, lopt, ctx, frag.status);
         frag.verify = combine(frag.verify, audited.outcome);
         // A block whose audit still failed after the recompute falls a rung;
         // the rejected pulse is not shipped, so its audit error does not
@@ -664,22 +684,21 @@ void EpocCompiler::pulse_unit(const PulseUnit& unit, std::size_t index, const Wa
             // No finer rung below a single gate: ship the re-simulated
             // fidelity in place of the untrustworthy recorded one.
             f = audited.fidelity;
-            tracer_.add_counter("robust.untrusted_fidelity_shipped");
+            ctx.trace.add_counter("robust.untrusted_fidelity_shipped");
         }
         frag.jobs.push_back(PulseJob{pt.qubits, audited.result->pulse.duration(), f,
                                      blk != nullptr ? "" : kind_name(unit.gate->kind)});
     } catch (...) {
-        absorb_exception(frag.status, tracer_);
+        absorb_exception(frag.status, ctx.trace);
         if (blk != nullptr) return fall_back();
         frag.jobs.push_back(placeholder_job(*unit.gate, be));
-        tracer_.add_counter("robust.placeholder_pulses");
+        ctx.trace.add_counter("robust.placeholder_pulses");
     }
 }
 
 std::vector<PulseJob> EpocCompiler::pulse_arm(const std::vector<PulseUnit>& units,
-                                              const WarmSlots* warm,
-                                              const util::Deadline& deadline, EpocResult& res,
-                                              double& audit_err, const backend::Backend& be) {
+                                              const WarmSlots* warm, CompileContext& ctx,
+                                              EpocResult& res, double& audit_err) {
     // "gate i (kind)" / "block i (nq)": the unit's span and report label.
     const auto name = [&](std::size_t i) {
         const PulseUnit& u = units[i];
@@ -693,10 +712,10 @@ std::vector<PulseJob> EpocCompiler::pulse_arm(const std::vector<PulseUnit>& unit
         units.size(),
         [&](std::size_t i) {
             frags[i].visited = true;
-            const util::Tracer::Span span = tracer_.span("pulse " + name(i), "qoc");
-            pulse_unit(units[i], i, warm, deadline, frags[i], be);
+            const util::Tracer::Span span = ctx.trace.span("pulse " + name(i), "qoc");
+            pulse_unit(units[i], i, warm, ctx, frags[i]);
         },
-        deadline.token());
+        ctx.deadline.token());
 
     std::vector<PulseJob> jobs;
     jobs.reserve(units.size());
@@ -711,11 +730,11 @@ std::vector<PulseJob> EpocCompiler::pulse_arm(const std::vector<PulseUnit>& unit
             frag.status.fallback_taken = true;
             frag.status.detail = std::string("cancelled before the ") +
                                  (blk != nullptr ? "block" : "gate") + " ran";
-            if (blk == nullptr) frag.jobs.push_back(placeholder_job(*units[i].gate, be));
+            if (blk == nullptr) frag.jobs.push_back(placeholder_job(*units[i].gate, ctx.be));
             else
                 for (const Gate& g : blk->body.gates())
-                    frag.jobs.push_back(placeholder_job(global_gate(g, *blk), be));
-            tracer_.add_counter("robust.placeholder_pulses", frag.jobs.size());
+                    frag.jobs.push_back(placeholder_job(global_gate(g, *blk), ctx.be));
+            ctx.trace.add_counter("robust.placeholder_pulses", frag.jobs.size());
         }
         res.block_reports.push_back({util::Stage::pulse, i,
                                      blk != nullptr ? "grouped " + name(i) : name(i),
@@ -735,12 +754,11 @@ std::vector<PulseJob> EpocCompiler::pulse_arm(const std::vector<PulseUnit>& unit
 }
 
 std::size_t EpocCompiler::pulse_stage(const Circuit& current, const CompilationPlan* plan,
-                                      const util::Deadline& deadline, EpocResult& res,
-                                      const backend::Backend& be) {
+                                      CompileContext& ctx, EpocResult& res) {
     const auto t0 = std::chrono::steady_clock::now();
     const bool warm = plan != nullptr && opt_.plan_warm_start;
     const auto schedule = [&](const std::vector<PulseJob>& jobs) {
-        const util::Tracer::Span span = tracer_.span("schedule asap", "pipeline");
+        const util::Tracer::Span span = ctx.trace.span("schedule asap", "pipeline");
         return schedule_asap(jobs, current.num_qubits());
     };
 
@@ -750,9 +768,9 @@ std::size_t EpocCompiler::pulse_stage(const Circuit& current, const CompilationP
     units.reserve(current.size());
     for (const Gate& g : current.gates()) units.push_back(PulseUnit{&g, nullptr});
     double shipped_budget = 0.0; // audited |recorded - resim| sum, shipped arm
-    util::Tracer::Span fine_span = tracer_.span("pulses fine-grained", "pipeline");
-    const std::vector<PulseJob> fine_jobs = pulse_arm(
-        units, warm ? &plan->fine_warm : nullptr, deadline, res, shipped_budget, be);
+    util::Tracer::Span fine_span = ctx.trace.span("pulses fine-grained", "pipeline");
+    const std::vector<PulseJob> fine_jobs =
+        pulse_arm(units, warm ? &plan->fine_warm : nullptr, ctx, res, shipped_budget);
     fine_span.end();
     res.schedule = schedule(fine_jobs);
 
@@ -760,51 +778,52 @@ std::size_t EpocCompiler::pulse_stage(const Circuit& current, const CompilationP
     // the two wins. On wide, shallow circuits a wide block pulse can blockade
     // qubit lines and lose to well-packed per-gate pulses.
     std::size_t num_groups = 0;
-    if (opt_.regroup_enabled && deadline.expired()) {
+    if (opt_.regroup_enabled && ctx.deadline.expired()) {
         // No budget left for a second arm: ship the fine-grained one.
-        report_stage(res, {util::Stage::regroup, expiry_cause(deadline), true,
+        report_stage(res, {util::Stage::regroup, ctx.expiry_cause(), true,
                            "skipped: budget spent"});
-        tracer_.add_counter("robust.deadline_skips");
+        ctx.trace.add_counter("robust.deadline_skips");
     } else if (opt_.regroup_enabled) {
         try {
-            util::Tracer::Span regroup_span = tracer_.span("regroup", "pipeline");
+            util::Tracer::Span regroup_span = ctx.trace.span("regroup", "pipeline");
             util::fault::maybe_throw("regroup.fail");
             const std::vector<partition::CircuitBlock> groups =
-                regroup(current, block_options(opt_, be).regroup);
+                regroup(current, block_options(opt_, ctx.be).regroup);
             regroup_span.end();
             num_groups = groups.size();
-            tracer_.add_counter("pipeline.regroup_blocks", groups.size());
+            ctx.trace.add_counter("pipeline.regroup_blocks", groups.size());
             // Stage oracle: the regrouped block-unitary product must still
             // be the synthesized circuit. Deterministic stage, so a failed
             // audit drops the grouped arm instead of re-running.
-            const verify::Outcome vo = verifier_.check_blocks_equiv(current, groups, "regroup");
+            const verify::Outcome vo =
+                verifier_.check_blocks_equiv(ctx.tally, current, groups, "regroup");
             if (vo == verify::Outcome::failed) {
                 report_stage(res,
                              {util::Stage::regroup, util::Cause::verify_failed, true,
                               "regroup equivalence audit failed; fine-grained arm kept"},
                              vo);
-                tracer_.add_counter("robust.regroup_fallbacks");
+                ctx.trace.add_counter("robust.regroup_fallbacks");
             } else {
                 units.clear();
                 for (const partition::CircuitBlock& blk : groups)
                     units.push_back(PulseUnit{nullptr, &blk});
-                util::Tracer::Span grouped_span = tracer_.span("pulses grouped", "pipeline");
+                util::Tracer::Span grouped_span = ctx.trace.span("pulses grouped", "pipeline");
                 double grouped_budget = 0.0;
                 const std::vector<PulseJob> jobs = pulse_arm(
-                    units, warm ? &plan->group_warm : nullptr, deadline, res, grouped_budget, be);
+                    units, warm ? &plan->group_warm : nullptr, ctx, res, grouped_budget);
                 grouped_span.end();
                 PulseSchedule grouped = schedule(jobs);
                 const bool grouped_wins = grouped.latency <= res.schedule.latency;
-                tracer_.add_counter(grouped_wins ? "pipeline.grouped_arm_wins"
-                                                 : "pipeline.fine_arm_wins");
+                ctx.trace.add_counter(grouped_wins ? "pipeline.grouped_arm_wins"
+                                                   : "pipeline.fine_arm_wins");
                 if (grouped_wins) {
                     res.schedule = std::move(grouped);
                     shipped_budget = grouped_budget;
                 }
             }
         } catch (...) {
-            report_stage_exception(res, util::Stage::regroup, tracer_);
-            tracer_.add_counter("robust.regroup_fallbacks");
+            report_stage_exception(res, util::Stage::regroup, ctx.trace);
+            ctx.trace.add_counter("robust.regroup_fallbacks");
         }
     }
     if (res.schedule.dropped_jobs > 0) {
@@ -814,15 +833,17 @@ std::size_t EpocCompiler::pulse_stage(const Circuit& current, const CompilationP
         // schedule for what it is.
         report_stage(res, {util::Stage::schedule, util::Cause::invalid_input, true,
                            res.schedule.drop_detail});
-        tracer_.add_counter("robust.dropped_jobs", res.schedule.dropped_jobs);
+        ctx.trace.add_counter("robust.dropped_jobs", res.schedule.dropped_jobs);
     }
-    if (verifier_.enabled()) verifier_.set_error_budget(shipped_budget);
+    // The call's audit record is complete here: every check of the front end
+    // (or plan build) and both arms, plus the shipped arm's audited error.
+    res.verify = ctx.tally.summary(res.verify.level);
+    res.verify.error_budget = shipped_budget;
     res.qoc_ms = ms_since(t0);
     return num_groups;
 }
 
-Circuit EpocCompiler::front_end(const Circuit& c, const util::Deadline& deadline,
-                                EpocResult& res, const backend::Backend& be,
+Circuit EpocCompiler::front_end(const Circuit& c, CompileContext& ctx, EpocResult& res,
                                 Circuit* after_zx) {
     // 1. Graph-based depth optimization. Failure or a spent budget keeps the
     // original circuit: ZX is a pure optimization.
@@ -830,13 +851,13 @@ Circuit EpocCompiler::front_end(const Circuit& c, const util::Deadline& deadline
     {
         const auto t0 = std::chrono::steady_clock::now();
         if (opt_.use_zx) {
-            if (deadline.expired()) {
-                report_stage(res, {util::Stage::zx, expiry_cause(deadline), true,
+            if (ctx.deadline.expired()) {
+                report_stage(res, {util::Stage::zx, ctx.expiry_cause(), true,
                                    "skipped: budget spent"});
-                tracer_.add_counter("robust.deadline_skips");
+                ctx.trace.add_counter("robust.deadline_skips");
             } else {
                 try {
-                    const util::Tracer::Span span = tracer_.span("zx", "pipeline");
+                    const util::Tracer::Span span = ctx.trace.span("zx", "pipeline");
                     util::fault::maybe_throw("zx.fail");
                     zx::ZxOptimizeResult zr = zx::zx_optimize(c);
                     // Stage oracle: the rewritten circuit must still be the
@@ -844,20 +865,20 @@ Circuit EpocCompiler::front_end(const Circuit& c, const util::Deadline& deadline
                     // failed audit keeps the original circuit outright — a
                     // re-run would reproduce the bug.
                     const verify::Outcome vo =
-                        verifier_.check_circuit_equiv(c, zr.circuit, "zx");
+                        verifier_.check_circuit_equiv(ctx.tally, c, zr.circuit, "zx");
                     if (vo == verify::Outcome::failed) {
                         report_stage(res,
                                      {util::Stage::zx, util::Cause::verify_failed, true,
                                       "zx equivalence audit failed; original circuit kept"},
                                      vo);
-                        tracer_.add_counter("robust.zx_fallbacks");
+                        ctx.trace.add_counter("robust.zx_fallbacks");
                     } else {
                         current = std::move(zr.circuit);
                     }
                 } catch (...) {
-                    report_stage_exception(res, util::Stage::zx, tracer_);
+                    report_stage_exception(res, util::Stage::zx, ctx.trace);
                     current = c;
-                    tracer_.add_counter("robust.zx_fallbacks");
+                    ctx.trace.add_counter("robust.zx_fallbacks");
                 }
             }
         }
@@ -870,31 +891,30 @@ Circuit EpocCompiler::front_end(const Circuit& c, const util::Deadline& deadline
     // failure skips synthesis for the whole circuit (again: an optimization).
     if (opt_.use_synthesis) {
         try {
-            util::Tracer::Span part_span = tracer_.span("partition", "pipeline");
+            util::Tracer::Span part_span = ctx.trace.span("partition", "pipeline");
             util::fault::maybe_throw("partition.fail");
             const std::vector<partition::CircuitBlock> blocks =
-                partition::greedy_partition(current, block_options(opt_, be).partition);
+                partition::greedy_partition(current, block_options(opt_, ctx.be).partition);
             part_span.end();
             res.num_blocks = blocks.size();
             // Stage oracle: the block list must reproduce the circuit it
             // partitions. A failed audit skips synthesis entirely (the
             // blocks are the synthesis input) and keeps `current`.
             const verify::Outcome vo =
-                verifier_.check_blocks_equiv(current, blocks, "partition");
+                verifier_.check_blocks_equiv(ctx.tally, current, blocks, "partition");
             if (vo == verify::Outcome::failed) {
                 report_stage(res,
                              {util::Stage::partition, util::Cause::verify_failed, true,
                               "partition equivalence audit failed; synthesis skipped"},
                              vo);
-                tracer_.add_counter("robust.partition_fallbacks");
+                ctx.trace.add_counter("robust.partition_fallbacks");
             } else {
-                const util::Tracer::Span span = tracer_.span("synthesis", "pipeline");
-                current = synthesize_blocks(blocks, current.num_qubits(),
-                                            res.synthesis_ms, deadline, res, be);
+                const util::Tracer::Span span = ctx.trace.span("synthesis", "pipeline");
+                current = synthesize_blocks(blocks, current.num_qubits(), ctx, res);
             }
         } catch (...) {
-            report_stage_exception(res, util::Stage::partition, tracer_);
-            tracer_.add_counter("robust.partition_fallbacks");
+            report_stage_exception(res, util::Stage::partition, ctx.trace);
+            ctx.trace.add_counter("robust.partition_fallbacks");
         }
     }
     return current;
@@ -902,9 +922,8 @@ Circuit EpocCompiler::front_end(const Circuit& c, const util::Deadline& deadline
 
 CompilationPlan EpocCompiler::build_plan(const Circuit& c,
                                          const circuit::StrippedCircuit& stripped,
-                                         const util::Deadline& deadline,
-                                         const backend::Backend& be) {
-    const util::Tracer::Span span = tracer_.span("plan build", "pipeline");
+                                         CompileContext& ctx) {
+    const util::Tracer::Span span = ctx.trace.span("plan build", "pipeline");
     // Parametric gates are reuse barriers: the front end runs only over the
     // maximal parameter-free program-order segments between them, which makes
     // the skeleton angle-independent by construction. The parametric gates
@@ -923,7 +942,7 @@ CompilationPlan EpocCompiler::build_plan(const Circuit& c,
         // ones, and a degraded build goes cold, where they are made again.
         EpocResult sink;
         Circuit zx_out(0);
-        const Circuit synthesized = front_end(segment, deadline, sink, be, &zx_out);
+        const Circuit synthesized = front_end(segment, ctx, sink, &zx_out);
         if (sink.degraded) throw PlanDegraded("plan build: degraded front end");
         after_zx.append(zx_out);
         plan.skeleton.append(synthesized);
@@ -958,28 +977,28 @@ CompilationPlan EpocCompiler::build_plan(const Circuit& c,
 }
 
 std::shared_ptr<const CompilationPlan> EpocCompiler::bind_plan(const Circuit& c,
-                                                               const util::Deadline& deadline,
-                                                               const backend::Backend& be,
+                                                               CompileContext& ctx,
                                                                Circuit& bound, bool& hit) {
     try {
-        const util::Tracer::Span span = tracer_.span("plan", "pipeline");
+        const util::Tracer::Span span = ctx.trace.span("plan", "pipeline");
         util::fault::maybe_throw("plan.lookup");
         const circuit::StrippedCircuit stripped = circuit::strip_parameters(c);
         // The backend fingerprint joins the plan key: the same structure
         // targeted at two devices partitions, routes and synthesizes
         // differently, so the plans must never be shared.
-        const std::string key = stripped.key + "|B:" + std::to_string(be.fingerprint_hash());
+        const std::string key =
+            stripped.key + "|B:" + std::to_string(ctx.be.fingerprint_hash());
         bool built = false;
         const std::shared_ptr<const CompilationPlan> plan =
             plan_cache_.get_or_compute(key, [&] {
                 built = true;
-                return build_plan(c, stripped, deadline, be);
+                return build_plan(c, stripped, ctx);
             });
         if (built) {
-            tracer_.add_counter("plan.misses");
-            tracer_.add_counter("plan.builds");
+            ctx.trace.add_counter("plan.misses");
+            ctx.trace.add_counter("plan.builds");
         } else {
-            tracer_.add_counter("plan.hits");
+            ctx.trace.add_counter("plan.hits");
         }
         util::fault::maybe_throw("plan.instantiate");
         // bind_parameters throws on a stale binding: a half-bound circuit is
@@ -989,7 +1008,7 @@ std::shared_ptr<const CompilationPlan> EpocCompiler::bind_plan(const Circuit& c,
         hit = !built;
         return plan;
     } catch (const util::fault::InjectedFault&) {
-        tracer_.add_counter("robust.injected_faults");
+        ctx.trace.add_counter("robust.injected_faults");
     } catch (...) {
         // PlanDegraded, a stale binding, or anything else on the plan path:
         // fall back to the cold pipeline, whose ladder reports any real
@@ -1002,10 +1021,8 @@ EpocResult EpocCompiler::compile(const Circuit& c) { return compile(c, {}); }
 
 EpocResult EpocCompiler::compile(const Circuit& c, const CompileCallOptions& call) {
     EpocResult res;
-    verifier_.begin_compile(); // per-compile audit tally
     res.verify.level = verifier_.options().level;
-    std::shared_ptr<const backend::Backend> be_ptr =
-        call.backend != nullptr ? call.backend : opt_.backend;
+    std::shared_ptr<const backend::Backend> be_ptr = call.backend;
     res.status = validate_input(c);
     res.threads_used = pool_.num_threads();
     // The one place that asks whether a backend was given: a compile that
@@ -1056,12 +1073,8 @@ EpocResult EpocCompiler::compile(const Circuit& c, const CompileCallOptions& cal
         input = &*widened;
     }
 
-    util::Deadline deadline;
-    const double budget_ms = call.deadline_ms >= 0.0 ? call.deadline_ms : opt_.deadline_ms;
-    if (budget_ms > 0.0) deadline = util::Deadline::after_ms(budget_ms);
-    deadline.link(call.cancel != nullptr ? call.cancel : opt_.cancel);
-
-    util::Tracer::Span compile_span = tracer_.span("compile", "pipeline");
+    CompileContext ctx(be, call, tracer_.enabled(), verifier_);
+    util::Tracer::Span compile_span = ctx.trace.span("compile", "pipeline");
 
     // The plan path is the cold path plus a cache: a bound plan stands in
     // for the front end (ZX, partition, synthesis), and both paths share the
@@ -1070,23 +1083,23 @@ EpocResult EpocCompiler::compile(const Circuit& c, const CompileCallOptions& cal
     std::shared_ptr<const CompilationPlan> plan;
     Circuit current(0);
     if (opt_.plan_cache) {
-        plan = bind_plan(*input, deadline, be, current, res.plan_hit);
-        if (plan == nullptr) tracer_.add_counter("robust.plan_fallbacks");
+        plan = bind_plan(*input, ctx, current, res.plan_hit);
+        if (plan == nullptr) ctx.trace.add_counter("robust.plan_fallbacks");
     }
     if (plan != nullptr) {
         res.depth_after_zx = plan->depth_after_zx;
         res.num_blocks = plan->partition_blocks;
     } else {
-        current = front_end(*input, deadline, res, be);
+        current = front_end(*input, ctx, res);
     }
-    tracer_.add_counter("pipeline.blocks", res.num_blocks);
+    ctx.trace.add_counter("pipeline.blocks", res.num_blocks);
     res.synthesized = current;
     res.synthesized_gates = current.size();
     // 4+5. Regroup (or not) and generate pulses (parallel over gates/blocks).
-    const std::size_t num_groups = pulse_stage(current, plan.get(), deadline, res, be);
+    const std::size_t num_groups = pulse_stage(current, plan.get(), ctx, res);
     if (res.plan_hit) {
         res.plan_blocks_reused = num_groups > 0 ? num_groups : plan->partition_blocks;
-        tracer_.add_counter("plan.blocks_reinstantiated", res.plan_blocks_reused);
+        ctx.trace.add_counter("plan.blocks_reinstantiated", res.plan_blocks_reused);
     }
 
     res.num_pulses = res.schedule.pulses.size();
@@ -1100,8 +1113,7 @@ EpocResult EpocCompiler::compile(const Circuit& c, const CompileCallOptions& cal
         res.store_enabled = true;
         res.store_stats = store_->stats();
     }
-    res.deadline_hit = deadline.armed() && deadline.expired();
-    res.verify = verifier_.summary();
+    res.deadline_hit = ctx.deadline.armed() && ctx.deadline.expired();
     if (res.degraded) {
         // Surface the first failure as the compile-level status (the full
         // account is in block_reports).
@@ -1111,41 +1123,20 @@ EpocResult EpocCompiler::compile(const Circuit& c, const CompileCallOptions& cal
                 break;
             }
         }
-        tracer_.add_counter("robust.degraded_compiles");
+        ctx.trace.add_counter("robust.degraded_compiles");
     }
     compile_span.end();
-    if (tracer_.enabled()) {
-        // Fold the sharded-cache stats into the counter registry so the trace
-        // is self-contained (set, not add: the stats are already cumulative).
-        tracer_.set_counter("pulse_library.hits", res.library_stats.hits);
-        tracer_.set_counter("pulse_library.misses", res.library_stats.misses);
-        tracer_.set_counter("pulse_library.single_flight_waits",
-                            res.library_stats.single_flight_waits);
-        tracer_.set_counter("pulse_library.uncached_degraded",
-                            res.library_stats.uncached_degraded);
-        tracer_.set_counter("synth_cache.hits", res.synth_cache_stats.hits);
-        tracer_.set_counter("synth_cache.misses", res.synth_cache_stats.misses);
-        tracer_.set_counter("synth_cache.single_flight_waits",
-                            res.synth_cache_stats.waits);
-        tracer_.set_counter("synth_cache.uncached_degraded",
-                            res.synth_cache_stats.uncacheable);
-        if (store_ != nullptr)
-            res.store_stats.for_each_counter(
-                [&](const char* name, std::uint64_t v) { tracer_.set_counter(name, v); });
-        if (verifier_.enabled()) {
-            tracer_.set_counter("verify.checks", res.verify.checks);
-            tracer_.set_counter("verify.passed", res.verify.passed);
-            tracer_.set_counter("verify.failed", res.verify.failed);
-            tracer_.set_counter("verify.unverified", res.verify.unverified);
-            tracer_.set_counter("verify.skipped", res.verify.skipped);
-            tracer_.set_counter("verify.revalidations", res.verify.revalidations);
-            tracer_.set_counter("verify.pack_revalidations",
-                                res.verify.pack_revalidations);
-            tracer_.set_counter("verify.revalidate_rejects",
-                                res.verify.revalidate_rejects);
-            tracer_.set_counter("verify.recomputes", res.verify.recomputes);
-        }
-        res.trace = tracer_.report();
+    if (ctx.trace.enabled()) {
+        // Fold the cumulative cache, store and verify stats into the call's
+        // counters, so its trace is self-contained.
+        const auto set = [&](const std::string& name, std::uint64_t v) {
+            ctx.trace.set_counter(name, v);
+        };
+        res.library_stats.for_each_counter(set);
+        res.synth_cache_stats.for_each_counter("synth_cache.", set);
+        if (store_ != nullptr) res.store_stats.for_each_counter(set);
+        if (verifier_.enabled()) res.verify.for_each_counter(set);
+        res.trace = ctx.trace.report();
     }
     return res;
 }

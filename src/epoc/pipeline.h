@@ -71,22 +71,6 @@ struct EpocOptions {
     /// at the cost of a fixed (non-searched) circuit shape.
     bool use_kak = false;
     qoc::DeviceParams device;
-    /// Target hardware backend (backend/backend.h). Every compile is
-    /// device-aware end to end: the circuit is widened to the device register,
-    /// partitioning/regrouping run in topology-aware mode over the backend's
-    /// coupling map (every block a connected subgraph; non-adjacent bridging
-    /// gates routed or rejected per `partition.bridge_policy`), synthesis
-    /// restricts CNOT placements to coupling edges, and pulse targets use the
-    /// backend's edge-resolved Hamiltonians (3-level leakage-aware when
-    /// `levels == 3`). The backend name and each block's calibration join
-    /// every pulse-library and store key, and the backend fingerprint every
-    /// plan-cache key: pulses are shared only by blocks with one backend name
-    /// and one Hamiltonian, plans only within one backend. nullptr (the
-    /// default) compiles on an implicit all-to-all device of the circuit's
-    /// width built from `device`, with the empty name.
-    /// `partition.coupling` / `regroup_opt.coupling` are always overridden.
-    /// Overridable per call via CompileCallOptions::backend.
-    std::shared_ptr<const backend::Backend> backend;
     qoc::LatencySearchOptions latency;
     bool phase_aware_library = true;
     /// Worker count for the per-block synthesis and pulse-generation loops.
@@ -94,23 +78,11 @@ struct EpocOptions {
     /// behaviour. Output is bit-identical for every value.
     int num_threads = 0;
     /// Record per-stage spans and counters (util/trace.h) and surface them on
-    /// EpocResult::trace. Off by default: the disabled path is one relaxed
-    /// atomic load per instrumentation point and never perturbs the compiled
-    /// artifact.
+    /// EpocResult::trace: the initial state of EpocCompiler::tracer(), the
+    /// switch each compile() reads as it starts. Off by default: the
+    /// disabled path is one relaxed atomic load per instrumentation point
+    /// and never perturbs the compiled artifact.
     bool trace_enabled = false;
-    /// Wall-clock budget for one compile() call, in milliseconds; <= 0 means
-    /// unlimited. The deadline is polled cooperatively inside QSearch/LEAP,
-    /// every GRAPE iteration and the latency search: on expiry each loop
-    /// returns best-so-far and the degradation ladder takes over, so the
-    /// compile still returns a valid (if degraded) schedule — it never
-    /// throws. Adjustable between compiles via EpocCompiler::set_deadline_ms.
-    double deadline_ms = 0.0;
-    /// Optional external cancellation (non-owning; must outlive the
-    /// compiler's compile() calls). Firing it behaves like an immediate
-    /// deadline expiry: in-flight blocks finish their current poll interval,
-    /// unstarted blocks fall back, and compile() returns a degraded result
-    /// with Cause::cancelled.
-    const util::CancelToken* cancel = nullptr;
     /// Directory of the persistent on-disk pulse store (store/pulse_store.h),
     /// attached to the pulse library as its L2 tier: memory miss -> probe
     /// disk -> verify -> promote; authoritative results written back, so
@@ -225,10 +197,10 @@ struct EpocResult {
     /// Cumulative on-disk store activity (hits/misses/writes/corrupt/
     /// evicted/bytes), from the store's own accounting.
     store::PulseStoreStats store_stats;
-    /// Spans + counters collected by the compiler's tracer (empty unless
-    /// EpocOptions::trace_enabled). Like the cache stats, spans/counters
-    /// accumulate across compile() calls on one compiler; call
-    /// `compiler.tracer().reset()` between compiles for per-run traces.
+    /// This call's spans and counters (empty unless the compiler's tracer()
+    /// was enabled when the call started). Per call: concurrent or repeated
+    /// compiles never see each other's spans. The cumulative cache and store
+    /// stats above are folded in as counters at the end of the call.
     util::TraceReport trace;
 
     /// The post-synthesis flat circuit (U3 + CX), for inspection.
@@ -270,20 +242,41 @@ struct EpocResult {
     std::vector<BlockReport> block_reports;
 };
 
-/// Per-call overrides for one compile() invocation. The compile-service
-/// daemon runs many concurrent requests through one EpocCompiler, and each
-/// request carries its own budget and cancellation — state that cannot live
-/// on the shared EpocOptions.
+/// Per-call settings of one compile() invocation. The compile-service daemon
+/// runs many concurrent requests through one EpocCompiler, and each request
+/// carries its own device, budget and cancellation, so they live here and
+/// never on the shared EpocOptions.
 struct CompileCallOptions {
-    /// Wall-clock budget for this call, in milliseconds. Negative means
-    /// "use EpocOptions::deadline_ms"; 0 means unlimited (like the option).
-    double deadline_ms = -1.0;
-    /// Cancellation for this call (non-owning; must outlive the call).
-    /// nullptr falls back to EpocOptions::cancel.
+    /// Wall-clock budget for this call, in milliseconds; <= 0 means
+    /// unlimited. The deadline is polled cooperatively inside QSearch/LEAP,
+    /// every GRAPE iteration and the latency search: on expiry each loop
+    /// returns best-so-far and the degradation ladder takes over, so the
+    /// compile still returns a valid (if degraded) schedule — it never
+    /// throws. Because degraded entries are never cached, a compile that
+    /// degraded under a tight budget genuinely re-attempts its blocks when
+    /// re-run with more slack.
+    double deadline_ms = 0.0;
+    /// Optional cancellation (non-owning; must outlive the call). Firing it
+    /// behaves like an immediate deadline expiry: in-flight blocks finish
+    /// their current poll interval, unstarted blocks fall back, and compile()
+    /// returns a degraded result with Cause::cancelled.
     const util::CancelToken* cancel = nullptr;
-    /// Hardware backend for this call; nullptr falls back to
-    /// EpocOptions::backend. The daemon resolves each job's backend name
-    /// against its registry and passes the result here.
+    /// Target hardware backend (backend/backend.h). Every compile is
+    /// device-aware end to end: the circuit is widened to the device register,
+    /// partitioning/regrouping run in topology-aware mode over the backend's
+    /// coupling map (every block a connected subgraph; non-adjacent bridging
+    /// gates routed or rejected per `partition.bridge_policy`), synthesis
+    /// restricts CNOT placements to coupling edges, and pulse targets use the
+    /// backend's edge-resolved Hamiltonians (3-level leakage-aware when
+    /// `levels == 3`). The backend name and each block's calibration join
+    /// every pulse-library and store key, and the backend fingerprint every
+    /// plan-cache key: pulses are shared only by blocks with one backend name
+    /// and one Hamiltonian, plans only within one backend. nullptr (the
+    /// default) compiles on an implicit all-to-all device of the circuit's
+    /// width built from EpocOptions::device, with the empty name.
+    /// EpocOptions' `partition.coupling` / `regroup_opt.coupling` are always
+    /// overridden. The daemon resolves each job's backend name against its
+    /// registry and passes the result here.
     std::shared_ptr<const backend::Backend> backend;
 };
 
@@ -291,23 +284,20 @@ struct CompileCallOptions {
 /// compile() calls, mirroring the paper's reusable pulse database.
 ///
 /// Concurrency: compile() may be called from any number of threads at once
-/// on one compiler — the serving precondition. All shared state is either
-/// immutable after construction (options), internally synchronized (thread
-/// pool, tracer, Hamiltonian map) or single-flight caches, and per-call
-/// state (deadline, result assembly) lives on the caller's stack; identical
-/// circuits compiled concurrently are bit-identical to sequential runs
-/// (asserted in tests/test_concurrent_compile.cpp). One caveat: the
-/// verifier's per-compile tally (EpocResult::verify) is reset at each
-/// compile() entry, so under concurrent *verifying* compiles the per-result
-/// tallies interleave — counts stay race-free and conservation still holds
-/// in aggregate, but attribute them to "the compiler since somebody's
-/// begin", not to one call. Schedules and reports are unaffected.
+/// on one compiler — the serving precondition. The compiler holds only
+/// configuration (options, verifier, the tracer switch) and internally
+/// synchronized caches and pools (pulse library, synthesis and plan caches,
+/// Hamiltonian map, thread pool). Everything one call owns — its device,
+/// deadline, trace and verify tally — lives in a private per-call context on
+/// the caller's stack, so concurrent results never see each other's state,
+/// and identical circuits compiled concurrently are bit-identical to
+/// sequential runs (asserted in tests/test_concurrent_compile.cpp).
 class EpocCompiler {
 public:
     explicit EpocCompiler(EpocOptions opt = {});
 
     EpocResult compile(const circuit::Circuit& c);
-    /// compile() with per-call deadline/cancellation overrides; see
+    /// compile() with this call's backend, deadline and cancellation; see
     /// CompileCallOptions. compile(c) is compile(c, {}).
     EpocResult compile(const circuit::Circuit& c, const CompileCallOptions& call);
 
@@ -315,15 +305,10 @@ public:
     /// The persistent pulse store, nullptr when persistence is off.
     store::PulseStore* store() { return store_.get(); }
     const EpocOptions& options() const { return opt_; }
-    /// The compiler's tracer (enabled iff EpocOptions::trace_enabled).
+    /// The tracing switch (initially EpocOptions::trace_enabled). A call
+    /// that starts while it is enabled records into its own trace, returned
+    /// on EpocResult::trace; this tracer itself records nothing.
     util::Tracer& tracer() { return tracer_; }
-    /// Change the wall-clock budget for subsequent compile() calls (<= 0
-    /// means unlimited). Because degraded entries are never cached, a compile
-    /// that degraded under a tight budget genuinely re-attempts its blocks
-    /// when re-run with more slack. NOT safe against in-flight compile()
-    /// calls on other threads — concurrent callers pass per-call budgets via
-    /// CompileCallOptions instead (the daemon does).
-    void set_deadline_ms(double ms) { opt_.deadline_ms = ms; }
     /// The compiler's verifier (enabled iff verify_level resolved to
     /// sampled/full; see EpocOptions::verify_level).
     const verify::Verifier& verifier() const { return verifier_; }
@@ -350,17 +335,6 @@ private:
         bool resolved = true;
     };
 
-    /// The pulse target of one gate: the physical qubits the pulse spans and
-    /// the gate unitary over them, lifted to the 3-level space when the
-    /// backend models leakage. A gate whose operands couple directly targets
-    /// its own unitary over its operands, in operand order; one that needs
-    /// shortest-path qubits to connect them targets the gate embedded over
-    /// the sorted union.
-    struct PulseTarget {
-        std::vector<int> qubits;
-        linalg::Matrix target;
-    };
-
     /// One unit of pulse work: a single gate on global qubits (every gate of
     /// the fine arm, and each gate of a block's fallback rung) or a regrouped
     /// block. Exactly one member is set.
@@ -370,19 +344,20 @@ private:
     };
     /// A unit's jobs, status, audit outcome and audit error (pipeline.cpp).
     struct PulseFragment;
+    /// Everything one compile() call owns — its backend, linked deadline,
+    /// trace, verify tally and library lookup hooks (pipeline.cpp). Built by
+    /// compile() and passed to every stage; EpocResult stays a separate
+    /// argument because a plan build runs the front end into a throwaway
+    /// result.
+    struct CompileContext;
 
     /// Device-resolved Hamiltonian for a block over physical `qubits`,
     /// cached per block model (qoc::BlockModel::key): one entry per distinct
     /// Hamiltonian, whatever the register width, qubit ids or operand order.
     const qoc::BlockHamiltonian& block_hamiltonian(const backend::Backend& be,
                                                    const std::vector<int>& qubits);
-    PulseTarget gate_pulse_target(const backend::Backend& be,
-                                  const circuit::Gate& g) const;
-    util::Cause expiry_cause(const util::Deadline& deadline) const;
     circuit::Circuit synthesize_blocks(const std::vector<partition::CircuitBlock>& blocks,
-                                       int num_qubits, double& synth_ms,
-                                       const util::Deadline& deadline, EpocResult& res,
-                                       const backend::Backend& be);
+                                       int num_qubits, CompileContext& ctx, EpocResult& res);
     /// Ladder rung 3 for gate `g` (global qubits): a placeholder pulse with
     /// worst-case duration (`max_slots * dt`) and zero fidelity —
     /// structurally schedulable, and impossible to mistake for a good pulse.
@@ -394,46 +369,39 @@ private:
     /// seeds GRAPE from, and collects amplitudes into, slot `index`; audits
     /// and their recomputes always run un-seeded.
     void pulse_unit(const PulseUnit& unit, std::size_t index, const WarmSlots* warm,
-                    const util::Deadline& deadline, PulseFragment& frag,
-                    const backend::Backend& be);
+                    CompileContext& ctx, PulseFragment& frag);
     /// One pulse arm: pulse_unit() over `units` in parallel, merged in unit
     /// order into jobs, one BlockReport per unit and the arm's audit error.
     std::vector<PulseJob> pulse_arm(const std::vector<PulseUnit>& units,
-                                    const WarmSlots* warm, const util::Deadline& deadline,
-                                    EpocResult& res, double& audit_err,
-                                    const backend::Backend& be);
+                                    const WarmSlots* warm, CompileContext& ctx,
+                                    EpocResult& res, double& audit_err);
     /// The front end of every cold compile and of every plan build segment:
     /// ZX, then partition and synthesis. Returns the synthesized circuit and,
     /// when `after_zx` is set, the post-ZX one there. A stage that fails or
     /// is skipped reports on `res` and passes its input through; stage times,
     /// depth_after_zx and num_blocks land on `res` too.
-    circuit::Circuit front_end(const circuit::Circuit& c, const util::Deadline& deadline,
-                               EpocResult& res, const backend::Backend& be,
-                               circuit::Circuit* after_zx = nullptr);
+    circuit::Circuit front_end(const circuit::Circuit& c, CompileContext& ctx,
+                               EpocResult& res, circuit::Circuit* after_zx = nullptr);
     /// The pulse stage every compile ends in: the fine arm over `current`,
     /// then — budget permitting — regroup with its oracle and the grouped
     /// arm, shipping the shorter schedule; then dropped-job accounting, the
-    /// shipped arm's error budget and `qoc_ms`. `plan` (plan path only)
-    /// supplies the warm-start slots. Returns the regroup block count (0
-    /// when regroup did not run).
+    /// call's verify summary with the shipped arm's error budget, and
+    /// `qoc_ms`. `plan` (plan path only) supplies the warm-start slots.
+    /// Returns the regroup block count (0 when regroup did not run).
     std::size_t pulse_stage(const circuit::Circuit& current, const CompilationPlan* plan,
-                            const util::Deadline& deadline, EpocResult& res,
-                            const backend::Backend& be);
+                            CompileContext& ctx, EpocResult& res);
     /// Build a CompilationPlan for `c` (whose structure key is
     /// `stripped.key`): the front end over each maximal parameter-free
     /// segment, parametric gates carried through as slot sentinels. Throws
     /// (so the single-flight slot is erased and the compile goes cold) on
     /// *any* degradation — only clean plans are ever cached.
     CompilationPlan build_plan(const circuit::Circuit& c,
-                               const circuit::StrippedCircuit& stripped,
-                               const util::Deadline& deadline,
-                               const backend::Backend& be);
+                               const circuit::StrippedCircuit& stripped, CompileContext& ctx);
     /// The plan path's stand-in for front_end(): strip `c`, look up (or
     /// build) its plan and bind the angles into `bound`; `hit` is false on
     /// the build. Never throws; nullptr means "run the front end".
     std::shared_ptr<const CompilationPlan> bind_plan(const circuit::Circuit& c,
-                                                     const util::Deadline& deadline,
-                                                     const backend::Backend& be,
+                                                     CompileContext& ctx,
                                                      circuit::Circuit& bound, bool& hit);
     /// Schedule audit for one generated pulse (feasible, authoritative,
     /// sampled-in results only; anything else passes through unchecked):
@@ -444,11 +412,11 @@ private:
                                     const qoc::BlockHamiltonian& h,
                                     const linalg::Matrix& target,
                                     const qoc::LatencySearchOptions& lopt,
-                                    util::BlockStatus& status);
+                                    CompileContext& ctx, util::BlockStatus& status);
 
     EpocOptions opt_;
-    util::Tracer tracer_; ///< declared before library_, which holds a pointer
-    verify::Verifier verifier_; ///< declared after tracer_ (holds a pointer)
+    util::Tracer tracer_; ///< the switch only; each call records its own trace
+    verify::Verifier verifier_;
     util::ThreadPool pool_;
     /// Declared before library_, which holds a non-owning PulseTier pointer.
     std::unique_ptr<store::PulseStore> store_;

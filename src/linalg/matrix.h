@@ -7,6 +7,7 @@
 // linear algebra.
 #pragma once
 
+#include <cmath>
 #include <complex>
 #include <cstddef>
 #include <initializer_list>
@@ -16,6 +17,12 @@
 namespace epoc::linalg {
 
 using cplx = std::complex<double>;
+
+/// r * e^{ia} for a magnitude of either sign: the product std::polar
+/// computes, without its r >= 0 precondition. U3's sin(theta/2) and
+/// cos(theta/2) magnitudes go negative, where std::polar is undefined (and
+/// aborts under _GLIBCXX_ASSERTIONS).
+inline cplx scaled_phase(double r, double a) { return {r * std::cos(a), r * std::sin(a)}; }
 
 /// Dense row-major complex matrix.
 class Matrix {

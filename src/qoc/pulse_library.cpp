@@ -49,7 +49,9 @@ std::string PulseLibrary::key_of(const BlockHamiltonian& h, const Matrix& m,
 }
 
 std::shared_ptr<const LatencyResult> PulseLibrary::get_or_generate(
-    const BlockHamiltonian& h, const Matrix& target, const LatencySearchOptions& opt) {
+    const BlockHamiltonian& h, const Matrix& target, const LatencySearchOptions& opt,
+    const PulseLookup& lookup) {
+    util::Tracer* const trace = lookup.trace;
     const std::string key = key_of(h, target, opt);
     // A waiter that inherits a degraded (non-authoritative) result from a
     // losing leader re-enters the cache while its own budget is intact, so a
@@ -67,19 +69,19 @@ std::shared_ptr<const LatencyResult> PulseLibrary::get_or_generate(
                 bool from_pack = false;
                 if (std::optional<LatencyResult> stored =
                         store_->load(key, &from_pack)) {
-                    if (!revalidator_ ||
-                        revalidator_(key, h, target, *stored, from_pack)) {
+                    if (!lookup.revalidate ||
+                        lookup.revalidate(key, h, target, *stored, from_pack)) {
                         // L2 hit: promote to memory verbatim. No GRAPE ran,
                         // so none of the qoc.* generation counters move.
                         store_hits_.fetch_add(1, std::memory_order_relaxed);
                         if (from_pack) {
                             store_pack_hits_.fetch_add(1,
                                                        std::memory_order_relaxed);
-                            if (tracer_ != nullptr)
-                                tracer_->add_counter("qoc.store_pack_promotions");
+                            if (trace != nullptr)
+                                trace->add_counter("qoc.store_pack_promotions");
                         }
-                        if (tracer_ != nullptr)
-                            tracer_->add_counter("qoc.store_promotions");
+                        if (trace != nullptr)
+                            trace->add_counter("qoc.store_promotions");
                         return std::move(*stored);
                     }
                     // Revalidation rejected the entry: its bytes were intact
@@ -92,38 +94,38 @@ std::shared_ptr<const LatencyResult> PulseLibrary::get_or_generate(
                     // irreconcilable: counted outcomes exceeded probes).
                     rejected = true;
                     store_rejected_.fetch_add(1, std::memory_order_relaxed);
-                    if (tracer_ != nullptr)
-                        tracer_->add_counter("qoc.store_rejections");
+                    if (trace != nullptr)
+                        trace->add_counter("qoc.store_rejections");
                     store_->invalidate(key);
                 }
                 if (!rejected) store_misses_.fetch_add(1, std::memory_order_relaxed);
             }
             util::Tracer::Span span;
-            if (tracer_ != nullptr)
-                span = tracer_->span("grape " + std::to_string(h.num_qubits) + "q g" +
+            if (trace != nullptr)
+                span = trace->span("grape " + std::to_string(h.num_qubits) + "q g" +
                                          std::to_string(opt.slot_granularity),
                                      "qoc");
             LatencyResult res = find_minimal_latency_pulse(h, target, opt);
-            if (tracer_ != nullptr) {
-                tracer_->add_counter("qoc.grape_runs",
+            if (trace != nullptr) {
+                trace->add_counter("qoc.grape_runs",
                                      static_cast<std::uint64_t>(res.grape_runs));
-                tracer_->add_counter(
+                trace->add_counter(
                     "qoc.grape_iterations",
                     static_cast<std::uint64_t>(res.pulse.grape_iterations));
-                tracer_->add_counter("qoc.pulse_slots",
+                trace->add_counter("qoc.pulse_slots",
                                      static_cast<std::uint64_t>(res.pulse.num_slots()));
-                if (!res.feasible) tracer_->add_counter("qoc.infeasible_searches");
+                if (!res.feasible) trace->add_counter("qoc.infeasible_searches");
                 if (res.pulse.warm_start_mismatch)
-                    tracer_->add_counter("qoc.warm_start_mismatches");
+                    trace->add_counter("qoc.warm_start_mismatches");
                 if (res.pulse.nonfinite_reseeds > 0)
-                    tracer_->add_counter(
+                    trace->add_counter(
                         "qoc.grape_reseeds",
                         static_cast<std::uint64_t>(res.pulse.nonfinite_reseeds));
                 if (res.pulse.nonfinite_aborted)
-                    tracer_->add_counter("qoc.grape_nonfinite_aborts");
-                if (res.timed_out) tracer_->add_counter("qoc.timed_out_searches");
+                    trace->add_counter("qoc.grape_nonfinite_aborts");
+                if (res.timed_out) trace->add_counter("qoc.timed_out_searches");
                 if (!res.authoritative())
-                    tracer_->add_counter("robust.uncached_degraded_pulses");
+                    trace->add_counter("robust.uncached_degraded_pulses");
             }
             // Write-back: only authoritative results reach disk — the same
             // poisoning rule the `cacheable` predicate enforces for memory,
@@ -135,8 +137,8 @@ std::shared_ptr<const LatencyResult> PulseLibrary::get_or_generate(
             if (store_ != nullptr && res.authoritative()) {
                 if (res.pulse.warm_start_applied) {
                     store_warm_skipped_.fetch_add(1, std::memory_order_relaxed);
-                    if (tracer_ != nullptr)
-                        tracer_->add_counter("qoc.store_warm_skips");
+                    if (trace != nullptr)
+                        trace->add_counter("qoc.store_warm_skips");
                 } else {
                     store_->store(key, res);
                     store_writes_.fetch_add(1, std::memory_order_relaxed);
@@ -149,20 +151,20 @@ std::shared_ptr<const LatencyResult> PulseLibrary::get_or_generate(
         // faults) re-attempts instead of being served a degraded "hit".
         [](const LatencyResult& r) { return r.authoritative(); }, opt.deadline,
         [&] {
-            if (tracer_ != nullptr) tracer_->add_counter("qoc.waiter_retries");
+            if (trace != nullptr) trace->add_counter("qoc.waiter_retries");
         });
 }
 
 std::shared_ptr<const LatencyResult> PulseLibrary::regenerate(
     const BlockHamiltonian& h, const Matrix& target, const LatencySearchOptions& opt,
-    const std::shared_ptr<const LatencyResult>& bad) {
+    const std::shared_ptr<const LatencyResult>& bad, const PulseLookup& lookup) {
     const std::string key = key_of(h, target, opt);
     // Only the eviction winner touches the tier: a loser arriving after the
     // winner's fresh result was written back must not quarantine that fresh
     // entry. Losers fall straight through to get_or_generate, which waits on
     // or hits the winner's replacement.
     if (cache_.erase_if(key, bad) && store_ != nullptr) store_->invalidate(key);
-    return get_or_generate(h, target, opt);
+    return get_or_generate(h, target, opt, lookup);
 }
 
 std::shared_ptr<const LatencyResult> PulseLibrary::peek(

@@ -110,7 +110,7 @@ struct PulseLibraryStats {
     std::size_t store_pack_hits = 0;
     /// Tier hits the revalidation hook rejected: invalidated in the tier and
     /// regenerated. Disjoint from store_misses (a probe is a hit, a miss, or
-    /// a rejection — never two of them). Zero without a revalidator.
+    /// a rejection — never two of them). Zero without a revalidation hook.
     std::size_t store_rejected = 0;
     /// Authoritative results withheld from the tier because the GRAPE run was
     /// warm-started: warm seeds are not part of the key, so seed-dependent
@@ -121,6 +121,47 @@ struct PulseLibraryStats {
         const std::size_t total = hits + misses;
         return total == 0 ? 0.0 : static_cast<double>(hits) / static_cast<double>(total);
     }
+
+    /// Calls `f(name, value)` for every counter above under its exported
+    /// `qoc.*` name: the one list the trace and the epocd status share.
+    template <typename F>
+    void for_each_counter(F&& f) const {
+        f("qoc.library_hits", hits);
+        f("qoc.library_misses", misses);
+        f("qoc.single_flight_waits", single_flight_waits);
+        f("qoc.uncached_degraded", uncached_degraded);
+        f("qoc.store_hits", store_hits);
+        f("qoc.store_pack_hits", store_pack_hits);
+        f("qoc.store_misses", store_misses);
+        f("qoc.store_rejected", store_rejected);
+        f("qoc.store_writes", store_writes);
+        f("qoc.store_warm_skipped", store_warm_skipped);
+    }
+};
+
+/// Revalidation hook consulted on every L2 hit before it is promoted to
+/// memory: return false to reject the entry (it is invalidated in the
+/// tier, counted in `store_rejected`, and regenerated by GRAPE). Sampling policy
+/// belongs to the hook — it sees the exact key, plus `foreign`: true when
+/// the hit came from a read-only shared pack segment (bytes from another
+/// machine or build, which callers typically re-simulate unconditionally
+/// rather than sample). Must not throw; runs inside the single-flight
+/// slot, so at most once per key per miss. Kept as a std::function so qoc
+/// stays independent of the verify layer.
+using Revalidator =
+    std::function<bool(const std::string& key, const BlockHamiltonian& h,
+                       const Matrix& target, const LatencyResult& result,
+                       bool foreign)>;
+
+/// What a lookup brings from its caller; both parts are optional. A miss
+/// records its `grape` span and the `qoc.grape_runs` /
+/// `qoc.grape_iterations` / `qoc.pulse_slots` / `qoc.infeasible_searches`
+/// counters into `trace`, and an L2 hit passes `revalidate` before it is
+/// promoted. Both belong to the caller that runs the single-flight
+/// generation: a waiter's own lookup records nothing of it.
+struct PulseLookup {
+    util::Tracer* trace = nullptr;
+    Revalidator revalidate;
 };
 
 class PulseLibrary {
@@ -136,7 +177,8 @@ public:
     /// refcounted).
     std::shared_ptr<const LatencyResult> get_or_generate(const BlockHamiltonian& h,
                                                          const Matrix& target,
-                                                         const LatencySearchOptions& opt);
+                                                         const LatencySearchOptions& opt,
+                                                         const PulseLookup& lookup = {});
 
     /// Lookup only; nullptr on miss (or while another thread is still
     /// generating the entry). Keyed exactly like get_or_generate, so `h` and
@@ -145,31 +187,10 @@ public:
                                               const Matrix& target,
                                               const LatencySearchOptions& opt) const;
 
-    /// Attach a tracer: each generation (cache miss) records a span plus the
-    /// `qoc.grape_runs` / `qoc.grape_iterations` / `qoc.pulse_slots` /
-    /// `qoc.infeasible_searches` counters. Pass nullptr to detach. The
-    /// pointer must outlive every subsequent get_or_generate call.
-    void set_tracer(util::Tracer* tracer) { tracer_ = tracer; }
-
     /// Attach the L2 tier (non-owning; must outlive every subsequent
     /// get_or_generate call, nullptr to detach). See the header comment for
     /// the probe/write-back protocol.
     void set_store(PulseTier* store) { store_ = store; }
-
-    /// Revalidation hook consulted on every L2 hit before it is promoted to
-    /// memory: return false to reject the entry (it is invalidated in the
-    /// tier, counted as a miss, and regenerated by GRAPE). Sampling policy
-    /// belongs to the hook — it sees the exact key, plus `foreign`: true when
-    /// the hit came from a read-only shared pack segment (bytes from another
-    /// machine or build, which callers typically re-simulate unconditionally
-    /// rather than sample). Must not throw; runs inside the single-flight
-    /// slot, so at most once per key per miss. Kept as a std::function so qoc
-    /// stays independent of the verify layer.
-    using Revalidator =
-        std::function<bool(const std::string& key, const BlockHamiltonian& h,
-                           const Matrix& target, const LatencyResult& result,
-                           bool foreign)>;
-    void set_revalidator(Revalidator hook) { revalidator_ = std::move(hook); }
 
     /// Verify-triggered recompute: evict `bad` — the exact value an audit
     /// rejected — from memory and the tier, then regenerate. Compare-and-
@@ -179,7 +200,7 @@ public:
     /// winner's replacement via the ordinary single-flight path.
     std::shared_ptr<const LatencyResult> regenerate(
         const BlockHamiltonian& h, const Matrix& target, const LatencySearchOptions& opt,
-        const std::shared_ptr<const LatencyResult>& bad);
+        const std::shared_ptr<const LatencyResult>& bad, const PulseLookup& lookup = {});
 
     std::size_t size() const { return cache_.size(); }
     PulseLibraryStats stats() const {
@@ -208,9 +229,7 @@ private:
                        const LatencySearchOptions& opt) const;
 
     bool phase_aware_;
-    util::Tracer* tracer_ = nullptr;
     PulseTier* store_ = nullptr;
-    Revalidator revalidator_;
     std::atomic<std::size_t> store_hits_{0};
     std::atomic<std::size_t> store_pack_hits_{0};
     std::atomic<std::size_t> store_misses_{0};

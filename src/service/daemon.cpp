@@ -129,10 +129,6 @@ void EpocDaemon::ReplayTable::insert(const std::string& key,
 EpocDaemon::EpocDaemon(DaemonOptions opt)
     : opt_(std::move(opt)), admission_(opt_.admission),
       replay_(opt_.replay_entries) {
-    // Per-job deadlines/cancellation arrive with each request; a configured
-    // compiler-wide budget would silently cap every client.
-    opt_.compiler.deadline_ms = 0.0;
-    opt_.compiler.cancel = nullptr;
     compiler_ = std::make_unique<core::EpocCompiler>(opt_.compiler);
     opt_.num_executors = std::max(1, opt_.num_executors);
     if (opt_.backends == nullptr)
@@ -694,16 +690,7 @@ StatusResponse EpocDaemon::status() const {
     // Shared-compiler counters: these aggregate over ALL tenants (the caches
     // are shared — that sharing is the dedup the service exists for, so
     // per-tenant attribution of a hit would be arbitrary).
-    const qoc::PulseLibraryStats lib = compiler_->library().stats();
-    put("qoc.library_hits", lib.hits);
-    put("qoc.library_misses", lib.misses);
-    put("qoc.single_flight_waits", lib.single_flight_waits);
-    put("qoc.uncached_degraded", lib.uncached_degraded);
-    put("qoc.store_hits", lib.store_hits);
-    put("qoc.store_pack_hits", lib.store_pack_hits);
-    put("qoc.store_misses", lib.store_misses);
-    put("qoc.store_rejected", lib.store_rejected);
-    put("qoc.store_writes", lib.store_writes);
+    compiler_->library().stats().for_each_counter(put);
     // Shared store tier, pack counters included: the per-daemon view a fleet
     // operator reads to see whether the shipped warm library is being hit.
     if (store::PulseStore* st = compiler_->store()) st->stats().for_each_counter(put);

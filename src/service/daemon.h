@@ -65,8 +65,8 @@ struct DaemonOptions {
     /// thread pool parallelizes inside each compile on top of this.
     int num_executors = 2;
     AdmissionOptions admission;
-    /// Configuration for the shared compiler (deadline/cancel fields are
-    /// ignored — per-job budgets arrive with each request).
+    /// Configuration for the shared compiler. Each job's backend, budget and
+    /// cancellation arrive with its request and are passed per call.
     core::EpocOptions compiler;
     /// Registry the per-job `backend` field resolves against. nullptr (the
     /// default) makes the daemon construct a registry of the built-in

@@ -75,7 +75,7 @@
 // every later probe with a miss — and quarantines the file (best-effort
 // rename into its own directory's `quarantine/`; a read-only share that
 // refuses the rename is left in place, the in-memory suspect flag still
-// protects this process). Entries a revalidator rejects land in an in-memory
+// protects this process). Entries revalidation rejects land in an in-memory
 // *denylist* instead: the read-only file is never touched, the key just
 // stops resolving through packs, and the regenerated loose entry shadows it.
 #pragma once

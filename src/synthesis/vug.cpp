@@ -9,6 +9,7 @@ namespace epoc::synthesis {
 
 using circuit::GateKind;
 using linalg::cplx;
+using linalg::scaled_phase;
 
 int SynthStructure::num_params() const {
     int n = 0;
@@ -77,15 +78,15 @@ Matrix u3_derivative(double theta, double phi, double lambda, int which) {
     const double c = std::cos(theta / 2), sn = std::sin(theta / 2);
     switch (which) {
     case 0: // d/dtheta
-        return Matrix{{cplx{-sn / 2, 0.0}, -0.5 * std::polar(c, lambda)},
-                      {0.5 * std::polar(c, phi), -0.5 * std::polar(sn, phi + lambda)}};
+        return Matrix{{cplx{-sn / 2, 0.0}, -0.5 * scaled_phase(c, lambda)},
+                      {0.5 * scaled_phase(c, phi), -0.5 * scaled_phase(sn, phi + lambda)}};
     case 1: // d/dphi
         return Matrix{{cplx{0, 0}, cplx{0, 0}},
-                      {cplx{0, 1} * std::polar(sn, phi),
-                       cplx{0, 1} * std::polar(c, phi + lambda)}};
+                      {cplx{0, 1} * scaled_phase(sn, phi),
+                       cplx{0, 1} * scaled_phase(c, phi + lambda)}};
     case 2: // d/dlambda
-        return Matrix{{cplx{0, 0}, cplx{0, -1} * std::polar(sn, lambda)},
-                      {cplx{0, 0}, cplx{0, 1} * std::polar(c, phi + lambda)}};
+        return Matrix{{cplx{0, 0}, cplx{0, -1} * scaled_phase(sn, lambda)},
+                      {cplx{0, 0}, cplx{0, 1} * scaled_phase(c, phi + lambda)}};
     default:
         throw std::invalid_argument("u3_derivative: which must be 0..2");
     }

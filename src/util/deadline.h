@@ -1,6 +1,6 @@
 // Compile deadlines and cooperative cancellation.
 //
-// A compile gets one Deadline (EpocOptions::deadline_ms), and every
+// A compile gets one Deadline (CompileCallOptions::deadline_ms), and every
 // long-running loop in the pipeline — QSearch's A* expansion, LEAP's rounds,
 // GRAPE's gradient iterations, the latency search's probes — polls it at its
 // natural iteration granularity. On expiry a loop does NOT throw: it returns

@@ -52,6 +52,16 @@ struct CacheStats {
         const std::size_t total = hits + misses;
         return total == 0 ? 0.0 : static_cast<double>(hits) / static_cast<double>(total);
     }
+
+    /// Calls `f(name, value)` for every counter above, named `prefix` plus
+    /// its exported suffix (e.g. "synth_cache." + "hits").
+    template <typename F>
+    void for_each_counter(const std::string& prefix, F&& f) const {
+        f(prefix + "hits", hits);
+        f(prefix + "misses", misses);
+        f(prefix + "single_flight_waits", waits);
+        f(prefix + "uncached_degraded", uncacheable);
+    }
 };
 
 template <typename V>

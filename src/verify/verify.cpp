@@ -54,6 +54,29 @@ int interior_spiders(const zx::ZxGraph& g) {
     return n;
 }
 
+/// Counts one verdict into `t` and hands it back.
+Outcome record(VerifyTally& t, Outcome o) {
+    t.checks.fetch_add(1, std::memory_order_relaxed);
+    switch (o) {
+    case Outcome::passed: t.passed.fetch_add(1, std::memory_order_relaxed); break;
+    case Outcome::failed: t.failed.fetch_add(1, std::memory_order_relaxed); break;
+    case Outcome::unverified: t.unverified.fetch_add(1, std::memory_order_relaxed); break;
+    case Outcome::not_checked: break;
+    }
+    return o;
+}
+
+/// A width-gated check that did not run.
+Outcome skip(VerifyTally& t) {
+    t.skipped.fetch_add(1, std::memory_order_relaxed);
+    return Outcome::not_checked;
+}
+
+/// The check's span in the tally's trace (inert without one).
+util::Tracer::Span span(const VerifyTally& t, std::string name) {
+    return t.trace != nullptr ? t.trace->span(std::move(name), "verify") : util::Tracer::Span();
+}
+
 } // namespace
 
 const char* level_name(VerifyLevel level) {
@@ -98,49 +121,25 @@ const char* outcome_name(Outcome o) {
     return "?";
 }
 
-Verifier::Verifier(VerifyOptions opt, util::Tracer* tracer)
-    : opt_(opt), tracer_(tracer) {
-    opt_.level = resolve_level(opt_.level);
-    if (opt_.sample_period < 1) opt_.sample_period = 1;
-}
-
-void Verifier::begin_compile() {
-    checks_.store(0, std::memory_order_relaxed);
-    passed_.store(0, std::memory_order_relaxed);
-    failed_.store(0, std::memory_order_relaxed);
-    unverified_.store(0, std::memory_order_relaxed);
-    skipped_.store(0, std::memory_order_relaxed);
-    revalidations_.store(0, std::memory_order_relaxed);
-    pack_revalidations_.store(0, std::memory_order_relaxed);
-    revalidate_rejects_.store(0, std::memory_order_relaxed);
-    recomputes_.store(0, std::memory_order_relaxed);
-    max_error_.store(0.0, std::memory_order_relaxed);
-    error_budget_.store(0.0, std::memory_order_relaxed);
-}
-
-VerifySummary Verifier::summary() const {
+VerifySummary VerifyTally::summary(VerifyLevel level) const {
     VerifySummary s;
-    s.level = opt_.level;
-    s.checks = checks_.load(std::memory_order_relaxed);
-    s.passed = passed_.load(std::memory_order_relaxed);
-    s.failed = failed_.load(std::memory_order_relaxed);
-    s.unverified = unverified_.load(std::memory_order_relaxed);
-    s.skipped = skipped_.load(std::memory_order_relaxed);
-    s.revalidations = revalidations_.load(std::memory_order_relaxed);
-    s.pack_revalidations = pack_revalidations_.load(std::memory_order_relaxed);
-    s.revalidate_rejects = revalidate_rejects_.load(std::memory_order_relaxed);
-    s.recomputes = recomputes_.load(std::memory_order_relaxed);
-    s.error_budget = error_budget_.load(std::memory_order_relaxed);
-    s.max_fidelity_error = max_error_.load(std::memory_order_relaxed);
+    s.level = level;
+    s.checks = checks.load(std::memory_order_relaxed);
+    s.passed = passed.load(std::memory_order_relaxed);
+    s.failed = failed.load(std::memory_order_relaxed);
+    s.unverified = unverified.load(std::memory_order_relaxed);
+    s.skipped = skipped.load(std::memory_order_relaxed);
+    s.revalidations = revalidations.load(std::memory_order_relaxed);
+    s.pack_revalidations = pack_revalidations.load(std::memory_order_relaxed);
+    s.revalidate_rejects = revalidate_rejects.load(std::memory_order_relaxed);
+    s.recomputes = recomputes.load(std::memory_order_relaxed);
+    s.max_fidelity_error = max_fidelity_error.load(std::memory_order_relaxed);
     return s;
 }
 
-void Verifier::set_error_budget(double budget) {
-    error_budget_.store(budget, std::memory_order_relaxed);
-}
-
-void Verifier::note_recompute() {
-    recomputes_.fetch_add(1, std::memory_order_relaxed);
+Verifier::Verifier(VerifyOptions opt) : opt_(opt) {
+    opt_.level = resolve_level(opt_.level);
+    if (opt_.sample_period < 1) opt_.sample_period = 1;
 }
 
 bool Verifier::should_check(std::uint64_t stable_id) const {
@@ -162,33 +161,14 @@ bool Verifier::should_check_unitary(const linalg::Matrix& u) const {
     return should_check(qoc::fnv1a64(linalg::phase_canonical_key(u, 6)));
 }
 
-Outcome Verifier::record(Outcome o, const char* /*counter_hint*/) {
-    checks_.fetch_add(1, std::memory_order_relaxed);
-    switch (o) {
-    case Outcome::passed: passed_.fetch_add(1, std::memory_order_relaxed); break;
-    case Outcome::failed: failed_.fetch_add(1, std::memory_order_relaxed); break;
-    case Outcome::unverified:
-        unverified_.fetch_add(1, std::memory_order_relaxed);
-        break;
-    case Outcome::not_checked: break;
-    }
-    return o;
-}
-
-void Verifier::count_skip() { skipped_.fetch_add(1, std::memory_order_relaxed); }
-
-Outcome Verifier::check_circuit_equiv(const circuit::Circuit& before,
+Outcome Verifier::check_circuit_equiv(VerifyTally& tally, const circuit::Circuit& before,
                                       const circuit::Circuit& after,
-                                      const char* what) {
+                                      const char* what) const {
     if (!enabled()) return Outcome::not_checked;
     if (before.num_qubits() > opt_.max_equiv_qubits ||
-        after.num_qubits() > opt_.max_equiv_qubits) {
-        count_skip();
-        return Outcome::not_checked;
-    }
-    auto span = tracer_ != nullptr
-                    ? tracer_->span(std::string("verify.equiv ") + what, "verify")
-                    : util::Tracer::Span();
+        after.num_qubits() > opt_.max_equiv_qubits)
+        return skip(tally);
+    const util::Tracer::Span s = span(tally, std::string("verify.equiv ") + what);
     try {
         util::fault::maybe_throw("verify.equiv");
         const linalg::Matrix ub = circuit::circuit_unitary(before);
@@ -207,24 +187,19 @@ Outcome Verifier::check_circuit_equiv(const circuit::Circuit& before,
                      cosine_similarity(ua, m) >= 1.0 - opt_.equiv_tol;
             }
         }
-        return record(ok ? Outcome::passed : Outcome::failed, what);
+        return record(tally, ok ? Outcome::passed : Outcome::failed);
     } catch (...) {
-        return record(Outcome::unverified, what);
+        return record(tally, Outcome::unverified);
     }
 }
 
-Outcome Verifier::check_blocks_equiv(const circuit::Circuit& segment,
+Outcome Verifier::check_blocks_equiv(VerifyTally& tally, const circuit::Circuit& segment,
                                      const std::vector<partition::CircuitBlock>& blocks,
-                                     const char* what) {
+                                     const char* what) const {
     if (!enabled()) return Outcome::not_checked;
     const int n = segment.num_qubits();
-    if (n > opt_.max_equiv_qubits) {
-        count_skip();
-        return Outcome::not_checked;
-    }
-    auto span = tracer_ != nullptr
-                    ? tracer_->span(std::string("verify.equiv ") + what, "verify")
-                    : util::Tracer::Span();
+    if (n > opt_.max_equiv_qubits) return skip(tally);
+    const util::Tracer::Span s = span(tally, std::string("verify.equiv ") + what);
     try {
         util::fault::maybe_throw("verify.equiv");
         linalg::Matrix u = linalg::Matrix::identity(std::size_t{1} << n);
@@ -232,42 +207,36 @@ Outcome Verifier::check_blocks_equiv(const circuit::Circuit& segment,
             circuit::apply_gate(u, partition::block_unitary(blk), blk.qubits, n);
         const linalg::Matrix ref = circuit::circuit_unitary(segment);
         const bool ok = linalg::phase_invariant_distance(ref, u) <= opt_.equiv_tol;
-        return record(ok ? Outcome::passed : Outcome::failed, what);
+        return record(tally, ok ? Outcome::passed : Outcome::failed);
     } catch (...) {
-        return record(Outcome::unverified, what);
+        return record(tally, Outcome::unverified);
     }
 }
 
-Outcome Verifier::check_synthesized_block(const linalg::Matrix& target,
+Outcome Verifier::check_synthesized_block(VerifyTally& tally, const linalg::Matrix& target,
                                           const circuit::Circuit& local,
-                                          double distance_tol) {
+                                          double distance_tol) const {
     if (!enabled()) return Outcome::not_checked;
-    if (local.num_qubits() > opt_.max_equiv_qubits) {
-        count_skip();
-        return Outcome::not_checked;
-    }
-    auto span = tracer_ != nullptr ? tracer_->span("verify.equiv synth", "verify")
-                                   : util::Tracer::Span();
+    if (local.num_qubits() > opt_.max_equiv_qubits) return skip(tally);
+    const util::Tracer::Span s = span(tally, "verify.equiv synth");
     try {
         util::fault::maybe_throw("verify.equiv");
         const linalg::Matrix u = circuit::circuit_unitary(local);
         const bool ok = u.rows() == target.rows() &&
                         linalg::phase_invariant_distance(target, u) <= distance_tol;
-        return record(ok ? Outcome::passed : Outcome::failed, "synth");
+        return record(tally, ok ? Outcome::passed : Outcome::failed);
     } catch (...) {
-        return record(Outcome::unverified, "synth");
+        return record(tally, Outcome::unverified);
     }
 }
 
-Outcome Verifier::audit_pulse(const qoc::BlockHamiltonian& h,
-                              const linalg::Matrix& target,
-                              const qoc::LatencyResult& lr, double* abs_error,
-                              double* resim_fidelity) {
+Outcome Verifier::audit_pulse(VerifyTally& tally, const qoc::BlockHamiltonian& h,
+                              const linalg::Matrix& target, const qoc::LatencyResult& lr,
+                              double* abs_error, double* resim_fidelity) const {
     if (abs_error != nullptr) *abs_error = 0.0;
     if (resim_fidelity != nullptr) *resim_fidelity = lr.pulse.fidelity;
     if (!enabled()) return Outcome::not_checked;
-    auto span = tracer_ != nullptr ? tracer_->span("verify.simulate", "verify")
-                                   : util::Tracer::Span();
+    const util::Tracer::Span s = span(tally, "verify.simulate");
     try {
         util::fault::maybe_throw("verify.simulate");
         const linalg::Matrix u = qoc::pulse_unitary(h, lr.pulse);
@@ -276,36 +245,35 @@ Outcome Verifier::audit_pulse(const qoc::BlockHamiltonian& h,
         const double err = std::abs(lr.pulse.fidelity - f);
         if (abs_error != nullptr) *abs_error = err;
         if (resim_fidelity != nullptr) *resim_fidelity = f;
-        update_max(max_error_, err);
-        return record(err <= opt_.fidelity_tol ? Outcome::passed : Outcome::failed,
-                      "simulate");
+        update_max(tally.max_fidelity_error, err);
+        return record(tally, err <= opt_.fidelity_tol ? Outcome::passed : Outcome::failed);
     } catch (...) {
-        return record(Outcome::unverified, "simulate");
+        return record(tally, Outcome::unverified);
     }
 }
 
-bool Verifier::revalidate(const qoc::BlockHamiltonian& h, const linalg::Matrix& target,
-                          const qoc::LatencyResult& lr, bool foreign) {
-    revalidations_.fetch_add(1, std::memory_order_relaxed);
+bool Verifier::revalidate(VerifyTally& tally, const qoc::BlockHamiltonian& h,
+                          const linalg::Matrix& target, const qoc::LatencyResult& lr,
+                          bool foreign) const {
+    tally.revalidations.fetch_add(1, std::memory_order_relaxed);
     // Foreign entries (pack-tier hits — bytes from another machine or build)
     // are tallied separately: unlike sampled local revalidation, *every* pack
     // hit passes through here, so this counter is the per-compile cost of
     // trust-but-verify ingest.
-    if (foreign) pack_revalidations_.fetch_add(1, std::memory_order_relaxed);
-    auto span = tracer_ != nullptr ? tracer_->span("verify.revalidate", "verify")
-                                   : util::Tracer::Span();
+    if (foreign) tally.pack_revalidations.fetch_add(1, std::memory_order_relaxed);
+    const util::Tracer::Span s = span(tally, "verify.revalidate");
     try {
         util::fault::maybe_throw("verify.revalidate");
         const linalg::Matrix u = qoc::pulse_unitary(h, lr.pulse);
         double f = linalg::hs_fidelity(target, u);
         if (!std::isfinite(f)) f = 0.0;
         const bool ok = std::abs(lr.pulse.fidelity - f) <= opt_.fidelity_tol;
-        if (!ok) revalidate_rejects_.fetch_add(1, std::memory_order_relaxed);
+        if (!ok) tally.revalidate_rejects.fetch_add(1, std::memory_order_relaxed);
         return ok;
     } catch (...) {
         // A broken verifier must never reject a good store entry: accept and
         // count the entry as explicitly unaudited.
-        unverified_.fetch_add(1, std::memory_order_relaxed);
+        tally.unverified.fetch_add(1, std::memory_order_relaxed);
         return true;
     }
 }

@@ -134,30 +134,59 @@ struct VerifySummary {
 
     /// No artifact failed an audit and no store entry was rejected.
     bool clean() const { return failed == 0 && revalidate_rejects == 0; }
+
+    /// Calls `f(name, value)` for every count above under its exported
+    /// `verify.*` name: the one list the trace and the tools share.
+    template <typename F>
+    void for_each_counter(F&& f) const {
+        f("verify.checks", checks);
+        f("verify.passed", passed);
+        f("verify.failed", failed);
+        f("verify.unverified", unverified);
+        f("verify.skipped", skipped);
+        f("verify.revalidations", revalidations);
+        f("verify.pack_revalidations", pack_revalidations);
+        f("verify.revalidate_rejects", revalidate_rejects);
+        f("verify.recomputes", recomputes);
+    }
 };
 
-/// Thread-safe auditor. One instance lives on the compiler, like the tracer;
-/// call begin_compile() at each compile() entry to reset the per-compile
-/// tally. Every check method is noexcept-in-spirit: internal failures
-/// (including the verify.* fault-injection sites) surface as
-/// Outcome::unverified, never as an exception.
+/// One compile's running audit record. Every check records into the tally it
+/// is passed; the call's workers share one tally, so the counts are relaxed
+/// atomic sums, whose totals do not depend on thread count. `trace`, when
+/// set, receives each check's span.
+struct VerifyTally {
+    explicit VerifyTally(util::Tracer* trace = nullptr) : trace(trace) {}
+
+    util::Tracer* trace;
+    std::atomic<std::size_t> checks{0};
+    std::atomic<std::size_t> passed{0};
+    std::atomic<std::size_t> failed{0};
+    std::atomic<std::size_t> unverified{0};
+    std::atomic<std::size_t> skipped{0};
+    std::atomic<std::size_t> revalidations{0};
+    std::atomic<std::size_t> pack_revalidations{0};
+    std::atomic<std::size_t> revalidate_rejects{0};
+    std::atomic<std::size_t> recomputes{0};
+    std::atomic<double> max_fidelity_error{0.0};
+
+    /// The counts so far, at `level`; the error budget is the caller's.
+    VerifySummary summary(VerifyLevel level) const;
+};
+
+/// Thread-safe, stateless auditor: it holds only its options, so one
+/// instance serves every concurrent compile of a compiler. Every check
+/// method is noexcept-in-spirit: internal failures (including the verify.*
+/// fault-injection sites) surface as Outcome::unverified, never as an
+/// exception.
 class Verifier {
 public:
-    explicit Verifier(VerifyOptions opt = {}, util::Tracer* tracer = nullptr);
+    explicit Verifier(VerifyOptions opt = {});
 
     /// False at level off: call sites skip all verify work (and cost).
     bool enabled() const { return opt_.level >= VerifyLevel::sampled; }
     bool full() const { return opt_.level == VerifyLevel::full; }
     const VerifyOptions& options() const { return opt_; }
-
-    /// Reset the per-compile tally (summary() counts since the last call).
-    void begin_compile();
-    VerifySummary summary() const;
-    /// Fold the shipped arm's deterministically-merged audit error sum into
-    /// the summary (called once, from the compile's merge phase).
-    void set_error_budget(double budget);
-    /// Count a verify-triggered recompute (cache/store eviction + re-run).
-    void note_recompute();
 
     /// Deterministic sampling verdicts: full -> always; sampled -> a hash of
     /// the id/key/unitary fingerprint, invariant under thread count.
@@ -168,61 +197,48 @@ public:
     /// Oracle: `after` implements `before` up to global phase (width-gated).
     /// In full mode, additionally cross-checked against the ZX tensor
     /// semantics of `after`'s diagram when that diagram is small enough.
-    /// `what` labels the tracer span ("zx", ...).
-    Outcome check_circuit_equiv(const circuit::Circuit& before,
-                                const circuit::Circuit& after, const char* what);
+    /// `what` labels the span ("zx", ...).
+    Outcome check_circuit_equiv(VerifyTally& tally, const circuit::Circuit& before,
+                                const circuit::Circuit& after, const char* what) const;
 
     /// Oracle: the block list reproduces `segment` — the product of the
     /// embedded block unitaries equals the segment's unitary up to global
     /// phase (width-gated).
-    Outcome check_blocks_equiv(const circuit::Circuit& segment,
+    Outcome check_blocks_equiv(VerifyTally& tally, const circuit::Circuit& segment,
                                const std::vector<partition::CircuitBlock>& blocks,
-                               const char* what);
+                               const char* what) const;
 
     /// Oracle: the synthesized local circuit realises `target` within
     /// `distance_tol` (phase-invariant distance; pass the synthesis
     /// threshold with slack).
-    Outcome check_synthesized_block(const linalg::Matrix& target,
-                                    const circuit::Circuit& local, double distance_tol);
+    Outcome check_synthesized_block(VerifyTally& tally, const linalg::Matrix& target,
+                                    const circuit::Circuit& local,
+                                    double distance_tol) const;
 
     /// Schedule audit: forward-simulate `lr`'s pulse under `h` and cross-
     /// check against the recorded fidelity. On any verdict, `abs_error`
     /// receives |recorded - re-simulated| (0 when unverified) and
     /// `resim_fidelity` the re-simulated value clamped finite — the number
     /// to ship when the recorded one is proven untrustworthy.
-    Outcome audit_pulse(const qoc::BlockHamiltonian& h, const linalg::Matrix& target,
-                        const qoc::LatencyResult& lr, double* abs_error = nullptr,
-                        double* resim_fidelity = nullptr);
+    Outcome audit_pulse(VerifyTally& tally, const qoc::BlockHamiltonian& h,
+                        const linalg::Matrix& target, const qoc::LatencyResult& lr,
+                        double* abs_error = nullptr,
+                        double* resim_fidelity = nullptr) const;
 
-    /// Store-revalidation oracle (wired as PulseLibrary's revalidator):
-    /// true accepts the entry. Sampling (should_check_key) is the caller's
-    /// job; a verifier-side failure accepts — degrade to unverified, never
-    /// reject a good store on a broken verifier. `foreign` marks pack-tier
-    /// entries (counted separately; see VerifySummary::pack_revalidations).
-    /// Works at every verify level, `off` included — foreign-byte ingest
-    /// must not depend on the audit knob.
-    bool revalidate(const qoc::BlockHamiltonian& h, const linalg::Matrix& target,
-                    const qoc::LatencyResult& lr, bool foreign = false);
+    /// Store-revalidation oracle (the pipeline's PulseLibrary revalidation
+    /// hook): true accepts the entry. Sampling (should_check_key) is the
+    /// caller's job; a verifier-side failure accepts — degrade to
+    /// unverified, never reject a good store on a broken verifier. `foreign`
+    /// marks pack-tier entries (counted separately; see
+    /// VerifySummary::pack_revalidations). Works at every verify level,
+    /// `off` included — foreign-byte ingest must not depend on the audit
+    /// knob.
+    bool revalidate(VerifyTally& tally, const qoc::BlockHamiltonian& h,
+                    const linalg::Matrix& target, const qoc::LatencyResult& lr,
+                    bool foreign = false) const;
 
 private:
-    Outcome record(Outcome o, const char* counter_hint);
-    void count_skip();
-
     VerifyOptions opt_;
-    util::Tracer* tracer_;
-
-    // Per-compile tally (reset by begin_compile).
-    std::atomic<std::size_t> checks_{0};
-    std::atomic<std::size_t> passed_{0};
-    std::atomic<std::size_t> failed_{0};
-    std::atomic<std::size_t> unverified_{0};
-    std::atomic<std::size_t> skipped_{0};
-    std::atomic<std::size_t> revalidations_{0};
-    std::atomic<std::size_t> pack_revalidations_{0};
-    std::atomic<std::size_t> revalidate_rejects_{0};
-    std::atomic<std::size_t> recomputes_{0};
-    std::atomic<double> max_error_{0.0};
-    std::atomic<double> error_budget_{0.0};
 };
 
 } // namespace epoc::verify

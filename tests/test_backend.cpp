@@ -4,6 +4,7 @@
 
 #include "bench_circuits/generators.h"
 #include "epoc/export.h"
+#include "fuzz_mutate.h"
 #include "epoc/pipeline.h"
 #include "qoc/pulse_io.h"
 
@@ -12,6 +13,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <random>
 #include <set>
 #include <string>
 #include <vector>
@@ -130,6 +132,71 @@ TEST(BackendRegistry, MalformedJsonThrows) {
         "edge_overrides": [{"a": 1, "b": 2, "coupling_bound": 0.01}]
     })"),
                  std::invalid_argument);
+}
+
+// --- Untrusted device files ---------------------------------------------
+// backend_from_json reads epocd's --backend-json. Under fuzz its contract is
+// binary: return a backend or throw std::invalid_argument. Any other
+// exception, or a crash, fails (and the ASan CI job turns memory errors into
+// failures).
+
+TEST(BackendJsonFuzz, HostileInputsAreRejected) {
+    // Nesting past the cap is rejected before the recursive parser can
+    // exhaust the stack.
+    EXPECT_THROW(backend::backend_from_json(std::string(200000, '[')), std::invalid_argument);
+    // A width past the cap is rejected before the all-pairs distance table
+    // is allocated (60000 qubits would need about 14 GB).
+    EXPECT_THROW(backend::backend_from_json(R"({"name":"x","num_qubits":60000,"edges":[]})"),
+                 std::invalid_argument);
+    EXPECT_THROW(backend::backend_from_json(R"({"name":"x","num_qubits":0,"edges":[]})"),
+                 std::invalid_argument);
+    // Out-of-range doubles are rejected before any conversion to int.
+    EXPECT_THROW(backend::backend_from_json(R"({"name":"x","num_qubits":1e300,"edges":[]})"),
+                 std::invalid_argument);
+    EXPECT_THROW(
+        backend::backend_from_json(R"({"name":"x","num_qubits":3,"edges":[[0,-1e300]]})"),
+        std::invalid_argument);
+    EXPECT_THROW(backend::backend_from_json(
+                     R"({"name":"x","num_qubits":3,"edges":[[0,1]],"levels":1e300})"),
+                 std::invalid_argument);
+    EXPECT_THROW(backend::backend_from_json(R"({"name":"x","num_qubits":3,"edges":[[0,1.5]]})"),
+                 std::invalid_argument);
+    // The width cap itself is accepted.
+    EXPECT_EQ(backend::backend_from_json(
+                  R"({"name":"wide","num_qubits":4096,"edges":[[0,1]]})")
+                  .coupling.num_qubits(),
+              backend::kMaxBackendQubits);
+}
+
+TEST(BackendJsonFuzz, SeededMutationsParseOrRaiseInvalidArgument) {
+    const std::vector<std::string> corpus = {
+        R"({"name": "fridge-a", "num_qubits": 3, "edges": [[0, 1], [1, 2]],
+            "drive_bound": 0.15, "zz_drift": 0.0021,
+            "edge_overrides": [{"a": 1, "b": 2, "coupling_bound": 0.017}],
+            "crosstalk_zz": true, "crosstalk_strength": 0.0004})",
+        R"({"name": "qutrit-2", "num_qubits": 2, "edges": [[0, 1]], "levels": 3,
+            "anharmonicity": -0.33, "dt": 2.0, "qubit_drive_bounds": [0.15, 0.16]})",
+        R"({"name": "ring-4", "num_qubits": 4, "edges": [[0,1],[1,2],[2,3],[3,0]],
+            "coupling_bound": 0.02, "edge_overrides": [{"a": 3, "b": 0, "zz_drift": 1e-3}]})",
+    };
+    std::mt19937_64 rng(0x4A534F4E); // "JSON": fixed seed, deterministic run
+    const int kCases = 2000;
+    int parsed = 0, rejected = 0;
+    for (int i = 0; i < kCases; ++i) {
+        const std::string input =
+            epoc::test::mutate(corpus[i % corpus.size()], rng, "\"[]{},:-.e0123456789 ");
+        try {
+            const Backend be = backend::backend_from_json(input);
+            (void)be.fingerprint(); // the returned backend must at least be readable
+            ++parsed;
+        } catch (const std::invalid_argument&) {
+            ++rejected; // the one sanctioned failure mode
+        }
+        // Anything else propagates and fails the test.
+    }
+    EXPECT_EQ(parsed + rejected, kCases);
+    EXPECT_GT(parsed, 0) << "every mutation broke the file";
+    EXPECT_GT(rejected, 0) << "no mutation ever broke the file";
 }
 
 // --- Fingerprints and cache keying ---------------------------------------
@@ -270,10 +337,8 @@ TEST(BackendCompile, SameCircuitKeysSeparatelyPerBackend) {
             compiler.library().stats().misses - prev_misses;
         prev_misses = compiler.library().stats().misses;
 
-        core::EpocOptions fresh_opt = fast_options();
-        fresh_opt.backend = call.backend;
-        core::EpocCompiler fresh(fresh_opt);
-        fresh.compile(c);
+        core::EpocCompiler fresh(fast_options());
+        fresh.compile(c, call);
         EXPECT_EQ(shared_misses, fresh.library().stats().misses)
             << name << " reused another backend's pulses";
     }
@@ -288,9 +353,10 @@ TEST(BackendCompile, BitIdenticalAcrossThreadCounts) {
         for (const int threads : {1, 2, 8}) {
             core::EpocOptions opt = fast_options();
             opt.num_threads = threads;
-            opt.backend = reg.find(name);
+            core::CompileCallOptions call;
+            call.backend = reg.find(name);
             core::EpocCompiler compiler(opt);
-            const core::EpocResult r = compiler.compile(c);
+            const core::EpocResult r = compiler.compile(c, call);
             EXPECT_TRUE(r.status.ok()) << name;
             digests.insert(digest(r));
         }
@@ -303,12 +369,12 @@ TEST(BackendCompile, BridgedCircuitStaysEquivalentAndFeasible) {
     // CX(0,3) is distance-3 on linear-5: the partitioner must SWAP-walk it
     // and the compile must still come back clean.
     BackendRegistry reg;
-    core::EpocOptions opt = fast_options();
-    opt.backend = reg.find("linear-5");
-    core::EpocCompiler compiler(opt);
+    core::CompileCallOptions call;
+    call.backend = reg.find("linear-5");
+    core::EpocCompiler compiler(fast_options());
     circuit::Circuit c(4);
     c.h(0).cx(0, 3);
-    const core::EpocResult r = compiler.compile(c);
+    const core::EpocResult r = compiler.compile(c, call);
     EXPECT_TRUE(r.status.ok()) << r.status.to_string();
     EXPECT_FALSE(r.degraded);
     EXPECT_GT(r.num_pulses, 0u);
@@ -321,11 +387,12 @@ TEST(BackendCompile, ThreeLevelModelCompiles) {
     be.levels = 3;
     core::EpocOptions opt = fast_options();
     opt.latency.fidelity_threshold = 0.9; // 9-dim GRAPE is slower; keep cheap
-    opt.backend = std::make_shared<const Backend>(std::move(be));
+    core::CompileCallOptions call;
+    call.backend = std::make_shared<const Backend>(std::move(be));
     core::EpocCompiler compiler(opt);
     circuit::Circuit c(2);
     c.h(0).cx(0, 1);
-    const core::EpocResult r = compiler.compile(c);
+    const core::EpocResult r = compiler.compile(c, call);
     EXPECT_TRUE(r.status.ok()) << r.status.to_string();
     EXPECT_GT(r.num_pulses, 0u);
     EXPECT_GT(r.latency_ns, 0.0);
@@ -333,10 +400,10 @@ TEST(BackendCompile, ThreeLevelModelCompiles) {
 
 TEST(BackendCompile, WiderThanRegisterIsInvalidInput) {
     BackendRegistry reg;
-    core::EpocOptions opt = fast_options();
-    opt.backend = reg.find("linear-5");
-    core::EpocCompiler compiler(opt);
-    const core::EpocResult r = compiler.compile(bench::ghz(6));
+    core::CompileCallOptions call;
+    call.backend = reg.find("linear-5");
+    core::EpocCompiler compiler(fast_options());
+    const core::EpocResult r = compiler.compile(bench::ghz(6), call);
     EXPECT_EQ(r.status.cause, util::Cause::invalid_input);
     EXPECT_NE(r.status.detail.find("exceeds backend"), std::string::npos)
         << r.status.detail;
@@ -386,9 +453,10 @@ TEST(OneDeviceModel, DeviceFreeCompileEqualsFullN) {
         opt.regroup_enabled = regroup;
         core::EpocCompiler device_free(opt);
         const core::EpocResult a = device_free.compile(c);
-        opt.backend = reg.find("full-3");
+        core::CompileCallOptions call;
+        call.backend = reg.find("full-3");
         core::EpocCompiler full(opt);
-        const core::EpocResult b = full.compile(c);
+        const core::EpocResult b = full.compile(c, call);
         ASSERT_TRUE(a.status.ok()) << a.status.to_string();
         ASSERT_TRUE(b.status.ok()) << b.status.to_string();
         EXPECT_EQ(a.backend_name, "");

@@ -6,6 +6,9 @@
 // single-flight path, and nothing a concurrent caller does may perturb
 // another caller's artifact.
 //
+// Per-call state — the verify tally and the trace — must be per call too:
+// two concurrent compiles never see each other's counts or spans.
+//
 // Runs under TSan in CI (the tsan-concurrency job): the assertions here catch
 // value races, the sanitizer catches ordering races the values happen to
 // survive.
@@ -18,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -142,14 +146,10 @@ TEST(ConcurrentCompile, PerCallCancelOnlyAffectsItsOwnJob) {
     EXPECT_EQ(digest(again), clean_digest);
 }
 
-TEST(ConcurrentCompile, PerCallDeadlineOverridesConfiguredBudget) {
-    // The configured deadline is generous; the per-call one is zero. The
-    // call-level budget must win: the compile degrades (deadline_hit) instead
-    // of running to completion — and a later call without an override is back
-    // on the configured budget.
-    EpocOptions opt = cheap_options(1);
-    opt.deadline_ms = 0.0; // unlimited default
-    EpocCompiler compiler(opt);
+TEST(ConcurrentCompile, PerCallDeadlineBindsOnlyItsCall) {
+    // A call with a zero budget degrades (deadline_hit) instead of running to
+    // completion — and a later call without one runs unlimited again.
+    EpocCompiler compiler(cheap_options(1));
 
     CompileCallOptions starved;
     starved.deadline_ms = 0.001; // effectively pre-expired
@@ -160,6 +160,74 @@ TEST(ConcurrentCompile, PerCallDeadlineOverridesConfiguredBudget) {
     const EpocResult full = compiler.compile(epoc::bench::qft(3));
     EXPECT_FALSE(full.deadline_hit);
     EXPECT_FALSE(full.degraded);
+}
+
+TEST(ConcurrentCompile, VerifyTallyIsPerCall) {
+    // Two verifying compiles racing on one warmed compiler: each result's
+    // tally must equal the one its circuit gets compiled alone, neither wiped
+    // nor inflated by the other call's checks.
+    EpocOptions opt = cheap_options(2);
+    opt.verify_level = epoc::verify::VerifyLevel::full;
+    EpocCompiler shared(opt);
+    const Circuit a = epoc::bench::qft(3);
+    const Circuit b = epoc::bench::ghz(4);
+    shared.compile(a);
+    shared.compile(b);
+    const epoc::verify::VerifySummary alone_a = shared.compile(a).verify;
+    const epoc::verify::VerifySummary alone_b = shared.compile(b).verify;
+    ASSERT_GT(alone_a.checks, 0u);
+    ASSERT_GT(alone_b.checks, 0u);
+
+    const auto expect_same = [](const epoc::verify::VerifySummary& got,
+                                const epoc::verify::VerifySummary& want,
+                                const std::string& what) {
+        EXPECT_EQ(got.checks, want.checks) << what;
+        EXPECT_EQ(got.passed, want.passed) << what;
+        EXPECT_EQ(got.failed, want.failed) << what;
+        EXPECT_EQ(got.skipped, want.skipped) << what;
+        EXPECT_EQ(got.unverified, want.unverified) << what;
+        EXPECT_EQ(got.error_budget, want.error_budget) << what;
+    };
+    for (int round = 0; round < 20; ++round) {
+        EpocResult ra, rb;
+        std::thread ta([&] { ra = shared.compile(a); });
+        std::thread tb([&] { rb = shared.compile(b); });
+        ta.join();
+        tb.join();
+        expect_same(ra.verify, alone_a, "qft3 round " + std::to_string(round));
+        expect_same(rb.verify, alone_b, "ghz4 round " + std::to_string(round));
+    }
+}
+
+TEST(ConcurrentCompile, TraceIsPerCall) {
+    // Repeated traced compiles of one circuit on a warmed compiler: each
+    // result holds its own call's spans and counters, not a running history.
+    EpocOptions opt = cheap_options(1);
+    opt.trace_enabled = true;
+    EpocCompiler compiler(opt);
+    const Circuit c = epoc::bench::qft(3);
+    compiler.compile(c); // the cold compile: GRAPE and QSearch spans
+    std::vector<std::size_t> spans;
+    for (int i = 0; i < 5; ++i) {
+        const EpocResult r = compiler.compile(c);
+        ASSERT_TRUE(r.trace.enabled);
+        spans.push_back(r.trace.spans.size());
+        EXPECT_EQ(r.trace.counter("pipeline.blocks"), r.num_blocks) << "compile " << i;
+    }
+    for (const std::size_t n : spans) EXPECT_EQ(n, spans.front());
+
+    // Two traced calls at once: each trace holds exactly its own compile.
+    EpocResult r1, r2;
+    std::thread t1([&] { r1 = compiler.compile(c); });
+    std::thread t2([&] { r2 = compiler.compile(epoc::bench::ghz(4)); });
+    t1.join();
+    t2.join();
+    for (const EpocResult* r : {&r1, &r2})
+        EXPECT_EQ(std::count_if(r->trace.spans.begin(), r->trace.spans.end(),
+                                [](const epoc::util::TraceEvent& ev) {
+                                    return ev.name == "compile";
+                                }),
+                  1);
 }
 
 } // namespace

@@ -573,15 +573,14 @@ TEST(PackLibrary, PackHitsRevalidateAsForeignAndSkipGrape) {
     PulseLibrary lib(true);
     lib.set_store(&store);
     util::Tracer tracer(true);
-    lib.set_tracer(&tracer);
     std::atomic<int> foreign_seen{0};
-    lib.set_revalidator([&](const std::string&, const BlockHamiltonian&,
-                            const Matrix&, const LatencyResult&, bool foreign) {
-        if (foreign) foreign_seen.fetch_add(1);
-        return true;
-    });
+    const PulseLookup lookup{&tracer, [&](const std::string&, const BlockHamiltonian&,
+                                          const Matrix&, const LatencyResult&, bool foreign) {
+                                 if (foreign) foreign_seen.fetch_add(1);
+                                 return true;
+                             }};
 
-    const auto r = lib.get_or_generate(h, circuit::hadamard(), opt);
+    const auto r = lib.get_or_generate(h, circuit::hadamard(), opt, lookup);
     ASSERT_NE(r, nullptr);
     EXPECT_EQ(foreign_seen.load(), 1) << "a pack hit must revalidate as foreign";
     EXPECT_EQ(lib.stats().store_hits, 1u);
@@ -596,12 +595,12 @@ TEST(PackLibrary, PackHitsRevalidateAsForeignAndSkipGrape) {
     PulseLibrary second(true);
     second.set_store(&store);
     std::atomic<int> local_foreign{0};
-    second.set_revalidator([&](const std::string&, const BlockHamiltonian&,
-                               const Matrix&, const LatencyResult&, bool foreign) {
-        local_foreign.fetch_add(foreign ? 1 : 0);
-        return true;
-    });
-    second.get_or_generate(h, circuit::hadamard(), opt);
+    second.get_or_generate(h, circuit::hadamard(), opt,
+                           {nullptr, [&](const std::string&, const BlockHamiltonian&,
+                                         const Matrix&, const LatencyResult&, bool foreign) {
+                                local_foreign.fetch_add(foreign ? 1 : 0);
+                                return true;
+                            }});
     EXPECT_EQ(local_foreign.load(), 1) << "still the pack: foreign again";
 }
 
@@ -628,11 +627,12 @@ TEST(PackLibrary, RejectedForeignHitRegeneratesAndShadowsThePack) {
     PulseStore store(std::move(sopt));
     PulseLibrary lib(true);
     lib.set_store(&store);
-    lib.set_revalidator([](const std::string&, const BlockHamiltonian&,
-                           const Matrix&, const LatencyResult&, bool foreign) {
-        return !foreign; // refuse everything a pack serves
-    });
-    const auto r = lib.get_or_generate(h, circuit::hadamard(), opt);
+    const PulseLookup refuse_foreign{nullptr, [](const std::string&, const BlockHamiltonian&,
+                                                 const Matrix&, const LatencyResult&,
+                                                 bool foreign) {
+                                         return !foreign; // refuse everything a pack serves
+                                     }};
+    const auto r = lib.get_or_generate(h, circuit::hadamard(), opt, refuse_foreign);
     ASSERT_NE(r, nullptr);
     EXPECT_GT(r->pulse.num_slots(), 0);
     EXPECT_EQ(lib.stats().store_rejected, 1u);
@@ -648,11 +648,7 @@ TEST(PackLibrary, RejectedForeignHitRegeneratesAndShadowsThePack) {
     // the loose tier — no foreign hit, no rejection, no GRAPE.
     PulseLibrary after(true);
     after.set_store(&store);
-    after.set_revalidator([](const std::string&, const BlockHamiltonian&,
-                             const Matrix&, const LatencyResult&, bool foreign) {
-        return !foreign;
-    });
-    const auto local = after.get_or_generate(h, circuit::hadamard(), opt);
+    const auto local = after.get_or_generate(h, circuit::hadamard(), opt, refuse_foreign);
     ASSERT_NE(local, nullptr);
     EXPECT_EQ(after.stats().store_hits, 1u);
     EXPECT_EQ(after.stats().store_pack_hits, 0u);

@@ -225,9 +225,9 @@ TEST(Pipeline, VariationalAngleSweepReusesThePlan) {
             EXPECT_FALSE(r.degraded);
             EXPECT_GT(r.esp, 0.9) << "warm=" << warm << " iter=" << i;
             esp_out.push_back(r.esp);
-            // Counters accumulate across compiles; the last report totals the
-            // whole sweep.
-            total_grape_iters = r.trace.counter("qoc.grape_iterations");
+            // Each trace holds its own compile's counters; the sweep's total
+            // is their sum.
+            total_grape_iters += r.trace.counter("qoc.grape_iterations");
         }
         return total_grape_iters;
     };

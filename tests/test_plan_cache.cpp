@@ -181,21 +181,22 @@ TEST(PlanCache, PlanHitBitIdenticalToColdCompileAcrossThreadCounts) {
         opt.plan_cache = true;
         opt.plan_warm_start = false;
         opt.num_threads = threads;
+        CompileCallOptions call;
         if (!backend.empty()) {
-            opt.backend = registry.find(backend);
-            ASSERT_NE(opt.backend, nullptr);
+            call.backend = registry.find(backend);
+            ASSERT_NE(call.backend, nullptr);
             // 2-qubit blocks keep the device-resolved GRAPE runs cheap.
             opt.partition.max_qubits = 2;
             opt.regroup_opt.max_qubits = 2;
         }
 
         EpocCompiler warmed(opt);
-        (void)warmed.compile(qaoa2(0.4, 0.9)); // builds the plan
-        const EpocResult hit = warmed.compile(qaoa2(1.3, -0.6));
+        (void)warmed.compile(qaoa2(0.4, 0.9), call); // builds the plan
+        const EpocResult hit = warmed.compile(qaoa2(1.3, -0.6), call);
         EXPECT_TRUE(hit.plan_hit) << "threads=" << threads;
 
         EpocCompiler fresh(opt);
-        const EpocResult cold = fresh.compile(qaoa2(1.3, -0.6));
+        const EpocResult cold = fresh.compile(qaoa2(1.3, -0.6), call);
         EXPECT_FALSE(cold.plan_hit) << "threads=" << threads;
 
         EXPECT_EQ(digest(hit.schedule), digest(cold.schedule))

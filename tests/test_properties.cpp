@@ -4,7 +4,6 @@
 #include "bench_circuits/random_circuits.h"
 #include "circuit/decompose.h"
 #include "circuit/peephole.h"
-#include "circuit/routing.h"
 #include "circuit/unitary.h"
 #include "epoc/export.h"
 #include "epoc/pipeline.h"
@@ -51,18 +50,6 @@ TEST(Properties, PassChainPreservesUnitary) {
         EXPECT_TRUE(equal_up_to_global_phase(circuit_unitary(t), circuit_unitary(c), 1e-6))
             << seed;
     }
-}
-
-TEST(Properties, RouteThenOptimizePreservesUnitary) {
-    bench::RandomCircuitSpec spec;
-    spec.seed = 77;
-    spec.num_qubits = 4;
-    spec.num_gates = 18;
-    const Circuit c = bench::random_circuit(spec);
-    const circuit::RoutingResult r = circuit::route(c, circuit::CouplingMap::linear(4));
-    Circuit full = circuit::peephole_optimize(r.circuit);
-    full.append(circuit::restore_layout_circuit(r.final_layout));
-    EXPECT_TRUE(equal_up_to_global_phase(circuit_unitary(full), circuit_unitary(c), 1e-6));
 }
 
 TEST(Properties, LibraryPulseFidelityIsPhysical) {

@@ -25,6 +25,7 @@ namespace {
 using namespace epoc;
 using circuit::Circuit;
 using core::BlockReport;
+using core::CompileCallOptions;
 using core::EpocCompiler;
 using core::EpocOptions;
 using core::EpocResult;
@@ -87,10 +88,10 @@ void expect_table(const std::vector<std::string>& actual,
 TEST(PulseStageCharacterization, PreCancelledToken) {
     util::CancelToken token;
     token.cancel();
-    EpocOptions opt = options();
-    opt.cancel = &token;
-    EpocCompiler compiler(opt);
-    const EpocResult r = compiler.compile(bench::ghz(3));
+    CompileCallOptions call;
+    call.cancel = &token;
+    EpocCompiler compiler(options());
+    const EpocResult r = compiler.compile(bench::ghz(3), call);
     expect_table(reports(r), {
         "zx 0 [zx] cancelled fallback verify=not_checked",
         "synthesis 0 [synth block 0 (3q)] cancelled fallback verify=not_checked",
@@ -276,13 +277,13 @@ TEST(PulseStageCharacterization, PlanHitUnderBlockFault) {
 TEST(PulseStageCharacterization, GatePulseFaultOnLinear5) {
     const backend::BackendRegistry registry;
     const FaultGuard g("pulse.gate=*");
-    EpocOptions opt = options();
-    opt.backend = registry.find("linear-5");
-    ASSERT_NE(opt.backend, nullptr);
-    EpocCompiler compiler(opt);
+    CompileCallOptions call;
+    call.backend = registry.find("linear-5");
+    ASSERT_NE(call.backend, nullptr);
+    EpocCompiler compiler(options());
     Circuit c(3);
     c.h(0).cx(0, 2).cx(2, 1);
-    const EpocResult r = compiler.compile(c);
+    const EpocResult r = compiler.compile(c, call);
     expect_table(reports(r), {
         "synthesis 0 [synth block 0 (1q)] none verify=not_checked",
         "synthesis 1 [synth block 1 (2q)] none verify=not_checked",

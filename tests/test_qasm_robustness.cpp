@@ -3,6 +3,7 @@
 #include "circuit/qasm.h"
 
 #include "bench_circuits/generators.h"
+#include "fuzz_mutate.h"
 
 #include <gtest/gtest.h>
 
@@ -148,11 +149,10 @@ TEST(QasmRobustness, DeepExpressionNesting) {
 
 // ---------------------------------------------------------------------------
 // Deterministic fuzz smoke test: ~1k seeded mutations of well-formed
-// programs. The contract under fuzz is binary — parse_qasm either returns a
-// circuit or throws QasmError. Any other exception, or a crash, fails (and
-// the ASan CI job additionally turns latent memory errors into hard
-// failures). The corpus and the mutator are fully deterministic (fixed seed,
-// no time/address dependence), so a failure here reproduces everywhere.
+// programs (fuzz_mutate.h). The contract under fuzz is binary — parse_qasm
+// either returns a circuit or throws QasmError. Any other exception, or a
+// crash, fails (and the ASan CI job additionally turns latent memory errors
+// into hard failures).
 
 std::vector<std::string> fuzz_corpus() {
     std::vector<std::string> corpus = {
@@ -170,39 +170,6 @@ std::vector<std::string> fuzz_corpus() {
     return corpus;
 }
 
-std::string mutate(const std::string& base, std::mt19937_64& rng) {
-    static const char kInserts[] = "qh;[](){},.\"\\/*-+0x\n\t ";
-    std::string s = base;
-    const int edits = 1 + static_cast<int>(rng() % 4);
-    for (int e = 0; e < edits; ++e) {
-        if (s.empty()) s.push_back(';'); // (assignment trips GCC12 -Wrestrict)
-        const std::size_t pos = rng() % s.size();
-        switch (rng() % 5) {
-        case 0: // flip a byte (any value: embedded NUL, high-bit, ...)
-            s[pos] = static_cast<char>(rng() % 256);
-            break;
-        case 1: // truncate
-            s.resize(pos);
-            break;
-        case 2: { // duplicate a slice onto a random point
-            const std::size_t len = std::min<std::size_t>(rng() % 32, s.size() - pos);
-            const std::string slice = s.substr(pos, len);
-            s.insert(rng() % (s.size() + 1), slice);
-            break;
-        }
-        case 3: // splice a token boundary character
-            s.insert(pos, 1, kInserts[rng() % (sizeof(kInserts) - 1)]);
-            break;
-        default: { // swap two regions (token reordering)
-            const std::size_t other = rng() % s.size();
-            std::swap(s[pos], s[other]);
-            break;
-        }
-        }
-    }
-    return s;
-}
-
 TEST(QasmFuzz, SeededMutationsParseOrRaiseQasmErrorNeverCrash) {
     const std::vector<std::string> corpus = fuzz_corpus();
     ASSERT_FALSE(corpus.empty());
@@ -210,7 +177,8 @@ TEST(QasmFuzz, SeededMutationsParseOrRaiseQasmErrorNeverCrash) {
     const int kCases = 1000;
     int parsed = 0, rejected = 0;
     for (int i = 0; i < kCases; ++i) {
-        const std::string input = mutate(corpus[i % corpus.size()], rng);
+        const std::string input =
+            epoc::test::mutate(corpus[i % corpus.size()], rng, "qh;[](){},.\"\\/*-+0x\n\t ");
         try {
             const Circuit c = parse_qasm(input);
             (void)c.size(); // the returned circuit must at least be readable

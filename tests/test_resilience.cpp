@@ -473,11 +473,11 @@ TEST(Resilience, BrokenPlanCacheDegradesToColdCompileNotThrow) {
 // Deadlines and cancellation at the compile() level.
 
 TEST(Resilience, TightDeadlineDegradesButStaysValid) {
-    EpocOptions opt = cheap_options();
-    opt.deadline_ms = 0.001; // expires essentially immediately
+    CompileCallOptions call;
+    call.deadline_ms = 0.001; // expires essentially immediately
     const Circuit c = epoc::bench::qft(3);
-    EpocCompiler compiler(opt);
-    const EpocResult r = compiler.compile(c);
+    EpocCompiler compiler(cheap_options());
+    const EpocResult r = compiler.compile(c, call);
     expect_valid_degraded(r, c, "deadline 1us");
     EXPECT_TRUE(r.deadline_hit);
     EXPECT_EQ(r.status.cause, epoc::util::Cause::timeout);
@@ -488,14 +488,13 @@ TEST(Resilience, DegradedResultsAreNotServedFromCacheLater) {
     // deadline lifted, the same compiler re-attempts and matches a compiler
     // that never had a deadline at all.
     const Circuit c = epoc::bench::ghz(3);
-    EpocOptions opt = cheap_options();
-    opt.deadline_ms = 0.001;
-    EpocCompiler compiler(opt);
-    const EpocResult starved = compiler.compile(c);
+    CompileCallOptions starving;
+    starving.deadline_ms = 0.001;
+    EpocCompiler compiler(cheap_options());
+    const EpocResult starved = compiler.compile(c, starving);
     EXPECT_TRUE(starved.degraded);
     EXPECT_GT(starved.library_stats.uncached_degraded, 0u);
 
-    compiler.set_deadline_ms(0.0);
     const EpocResult retry = compiler.compile(c);
     EXPECT_FALSE(retry.degraded) << retry.status.to_string();
 
@@ -509,11 +508,11 @@ TEST(Resilience, DegradedResultsAreNotServedFromCacheLater) {
 TEST(Resilience, PreCancelledTokenYieldsCancelledResult) {
     epoc::util::CancelToken token;
     token.cancel();
-    EpocOptions opt = cheap_options();
-    opt.cancel = &token;
+    CompileCallOptions call;
+    call.cancel = &token;
     const Circuit c = epoc::bench::ghz(3);
-    EpocCompiler compiler(opt);
-    const EpocResult r = compiler.compile(c);
+    EpocCompiler compiler(cheap_options());
+    const EpocResult r = compiler.compile(c, call);
     expect_valid_degraded(r, c, "pre-cancelled token");
     EXPECT_TRUE(r.deadline_hit);
     EXPECT_EQ(r.status.cause, epoc::util::Cause::cancelled);

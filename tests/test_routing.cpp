@@ -1,15 +1,10 @@
 #include "circuit/routing.h"
 
-#include "bench_circuits/random_circuits.h"
-#include "circuit/unitary.h"
-#include "linalg/phase.h"
-
 #include <gtest/gtest.h>
 
 namespace {
 
 using namespace epoc::circuit;
-using epoc::linalg::equal_up_to_global_phase;
 
 TEST(CouplingMap, LinearDistances) {
     const CouplingMap m = CouplingMap::linear(5);
@@ -118,95 +113,6 @@ TEST(CouplingMap, FullMapIsImplicitAtAnyWidth) {
     EXPECT_EQ(CouplingMap::full(4).edges(),
               (std::vector<std::pair<int, int>>{{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}}));
     EXPECT_FALSE(CouplingMap::linear(3).complete());
-}
-
-TEST(Routing, AdjacentGatesNeedNoSwaps) {
-    Circuit c(3);
-    c.h(0).cx(0, 1).cx(1, 2);
-    const RoutingResult r = route(c, CouplingMap::linear(3));
-    EXPECT_EQ(r.swaps_inserted, 0);
-    EXPECT_EQ(r.circuit.size(), c.size());
-}
-
-TEST(Routing, DistantGateInsertsSwaps) {
-    Circuit c(4);
-    c.cx(0, 3);
-    const RoutingResult r = route(c, CouplingMap::linear(4));
-    EXPECT_EQ(r.swaps_inserted, 2);
-    // Every emitted gate must respect the coupling map.
-    const CouplingMap m = CouplingMap::linear(4);
-    for (const Gate& g : r.circuit.gates()) {
-        if (g.arity() == 2) {
-            EXPECT_TRUE(m.adjacent(g.qubits[0], g.qubits[1]));
-        }
-    }
-}
-
-TEST(Routing, RejectsWideGates) {
-    Circuit c(3);
-    c.ccx(0, 1, 2);
-    EXPECT_THROW(route(c, CouplingMap::linear(3)), std::invalid_argument);
-}
-
-TEST(Routing, RejectsOversizedCircuit) {
-    Circuit c(5);
-    c.h(0);
-    EXPECT_THROW(route(c, CouplingMap::linear(3)), std::invalid_argument);
-}
-
-void expect_routing_equivalence(const Circuit& c, const CouplingMap& map) {
-    const RoutingResult r = route(c, map);
-    Circuit full = r.circuit;
-    full.append(restore_layout_circuit(r.final_layout));
-    // Compare against the original extended to the device width.
-    Circuit original(map.num_qubits());
-    std::vector<int> identity;
-    for (int q = 0; q < c.num_qubits(); ++q) identity.push_back(q);
-    original.append_mapped(c, identity);
-    EXPECT_TRUE(equal_up_to_global_phase(circuit_unitary(full), circuit_unitary(original),
-                                         1e-7));
-}
-
-TEST(Routing, UnitaryPreservedOnLinear) {
-    Circuit c(4);
-    c.h(0).cx(0, 3).t(3).cx(1, 2).cx(0, 2).s(1).cx(3, 1);
-    expect_routing_equivalence(c, CouplingMap::linear(4));
-}
-
-TEST(Routing, UnitaryPreservedOnRing) {
-    Circuit c(5);
-    c.h(0).cx(0, 2).cx(4, 1).rz(0.4, 2).cx(2, 4).cx(1, 3);
-    expect_routing_equivalence(c, CouplingMap::ring(5));
-}
-
-class RoutingRandom : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(RoutingRandom, UnitaryPreserved) {
-    epoc::bench::RandomCircuitSpec spec;
-    spec.seed = GetParam();
-    spec.num_qubits = 4;
-    spec.num_gates = 20;
-    const Circuit c = epoc::bench::random_circuit(spec);
-    expect_routing_equivalence(c, CouplingMap::linear(4));
-    expect_routing_equivalence(c, CouplingMap::grid(2, 2));
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, RoutingRandom,
-                         ::testing::Range(std::uint64_t{0}, std::uint64_t{10}));
-
-TEST(Routing, FullConnectivityNeverSwaps) {
-    epoc::bench::RandomCircuitSpec spec;
-    spec.num_qubits = 5;
-    spec.num_gates = 40;
-    const Circuit c = epoc::bench::random_circuit(spec);
-    EXPECT_EQ(route(c, CouplingMap::full(5)).swaps_inserted, 0);
-}
-
-TEST(Routing, RestoreLayoutHandlesBlankSlots) {
-    // Logical 0 parked at physical 2 of a 3-qubit device.
-    const Circuit c = restore_layout_circuit({2});
-    ASSERT_EQ(c.size(), 1u);
-    EXPECT_EQ(c.gate(0).kind, GateKind::SWAP);
 }
 
 } // namespace

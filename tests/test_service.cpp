@@ -244,9 +244,10 @@ std::string test_socket_path() {
            std::to_string(counter.fetch_add(1)) + ".sock";
 }
 
-std::uint64_t local_digest(core::EpocCompiler& c, const std::string& qasm) {
+std::uint64_t local_digest(core::EpocCompiler& c, const std::string& qasm,
+                           const core::CompileCallOptions& call = {}) {
     return qoc::fnv1a64(
-        core::schedule_to_json(c.compile(circuit::parse_qasm(qasm)).schedule));
+        core::schedule_to_json(c.compile(circuit::parse_qasm(qasm), call).schedule));
 }
 
 std::uint64_t counter_value(const StatusResponse& s, const std::string& key) {
@@ -309,10 +310,10 @@ TEST(Daemon, BackendJobsResolveAtAdmission) {
 
     // A known backend compiles and matches a local backend-aware compile
     // bit for bit.
-    core::EpocOptions lopt = cheap_options();
-    lopt.backend = epoc::backend::BackendRegistry().find("linear-5");
-    core::EpocCompiler local(lopt);
-    const std::uint64_t want = local_digest(local, qasm);
+    core::CompileCallOptions call;
+    call.backend = epoc::backend::BackendRegistry().find("linear-5");
+    core::EpocCompiler local(cheap_options());
+    const std::uint64_t want = local_digest(local, qasm, call);
     const JobResponse ok = client.compile(qasm, "alice", 0, 0.0, "linear-5");
     EXPECT_EQ(ok.status, JobStatus::ok);
     EXPECT_EQ(ok.digest, want);

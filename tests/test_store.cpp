@@ -488,8 +488,7 @@ TEST(PulseLibraryStore, MemoryMissPromotesFromDiskWithoutGrape) {
     PulseLibrary warm(true);
     warm.set_store(&store);
     util::Tracer tracer(true);
-    warm.set_tracer(&tracer);
-    const auto promoted = warm.get_or_generate(h, circuit::hadamard(), opt);
+    const auto promoted = warm.get_or_generate(h, circuit::hadamard(), opt, {&tracer, {}});
     EXPECT_EQ(warm.stats().store_hits, 1u);
     EXPECT_EQ(warm.stats().store_misses, 0u);
     EXPECT_EQ(tracer.report().counter("qoc.grape_runs"), 0u)
@@ -580,8 +579,7 @@ TEST(PulseLibraryStore, OtherGeneratorTagMissesAndRunsGrape) {
     PulseLibrary fresh(true);
     fresh.set_store(&store);
     util::Tracer tracer(true);
-    fresh.set_tracer(&tracer);
-    fresh.get_or_generate(h, circuit::hadamard(), opt);
+    fresh.get_or_generate(h, circuit::hadamard(), opt, {&tracer, {}});
     EXPECT_EQ(fresh.stats().store_hits, 0u);
     EXPECT_EQ(fresh.stats().store_misses, 1u);
     EXPECT_GT(tracer.report().counter("qoc.grape_runs"), 0u)
@@ -665,18 +663,18 @@ TEST(PulseLibraryStore, ProbeOutcomesPartitionExactly) {
     PulseLibrary lib(true);
     lib.set_store(&store);
     int revalidations = 0;
-    lib.set_revalidator([&](const std::string&, const BlockHamiltonian&,
-                            const Matrix&, const LatencyResult&, bool) {
-        ++revalidations;
-        return false; // reject everything the tier offers
-    });
+    const PulseLookup lookup{nullptr, [&](const std::string&, const BlockHamiltonian&,
+                                          const Matrix&, const LatencyResult&, bool) {
+                                 ++revalidations;
+                                 return false; // reject everything the tier offers
+                             }};
     // Probe finds the seeded entry, revalidation rejects it, GRAPE
     // regenerates: one probe, one rejection, zero misses.
-    lib.get_or_generate(h, circuit::hadamard(), opt);
+    lib.get_or_generate(h, circuit::hadamard(), opt, lookup);
     // Nothing stored for this key: one probe, one clean miss.
-    lib.get_or_generate(h, circuit::pauli_x(), opt);
+    lib.get_or_generate(h, circuit::pauli_x(), opt, lookup);
     // Pure L1 hit: no probe at all.
-    lib.get_or_generate(h, circuit::hadamard(), opt);
+    lib.get_or_generate(h, circuit::hadamard(), opt, lookup);
 
     const auto s = lib.stats();
     EXPECT_EQ(revalidations, 1);

@@ -212,8 +212,8 @@ TEST(PipelineTrace, EveryStageHasASpan) {
 TEST(PipelineTrace, CacheStatsFoldedIntoCounters) {
     EpocCompiler compiler(traced_options());
     const EpocResult r = compiler.compile(epoc::bench::qft(3));
-    EXPECT_EQ(r.trace.counter("pulse_library.hits"), r.library_stats.hits);
-    EXPECT_EQ(r.trace.counter("pulse_library.misses"), r.library_stats.misses);
+    EXPECT_EQ(r.trace.counter("qoc.library_hits"), r.library_stats.hits);
+    EXPECT_EQ(r.trace.counter("qoc.library_misses"), r.library_stats.misses);
     EXPECT_EQ(r.trace.counter("synth_cache.hits"), r.synth_cache_stats.hits);
     EXPECT_EQ(r.trace.counter("synth_cache.misses"), r.synth_cache_stats.misses);
     EXPECT_GT(r.trace.counter("qoc.grape_runs"), 0u);

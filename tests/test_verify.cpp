@@ -149,13 +149,14 @@ TEST(VerifyLevelTest, MalformedEnvIsOffNotAnError) {
 
 TEST(VerifyLevelTest, DisabledVerifierChecksNothing) {
     Verifier v{VerifyOptions{}}; // level off
+    VerifyTally t;
     EXPECT_FALSE(v.enabled());
     EXPECT_FALSE(v.should_check(1));
     Circuit a(1);
     a.x(0);
     Circuit b(1); // NOT equivalent -- and off must not even look
-    EXPECT_EQ(v.check_circuit_equiv(a, b, "test"), Outcome::not_checked);
-    EXPECT_EQ(v.summary().checks, 0u);
+    EXPECT_EQ(v.check_circuit_equiv(t, a, b, "test"), Outcome::not_checked);
+    EXPECT_EQ(t.checks.load(), 0u);
 }
 
 TEST(VerifyLevelTest, SamplingIsDeterministicAndProper) {
@@ -188,18 +189,20 @@ Verifier full_verifier() {
 
 TEST(VerifyOracles, CircuitEquivPassesOnHonestRewrites) {
     Verifier v = full_verifier();
+    VerifyTally t;
     const Circuit c = bench::qft(3);
     const zx::ZxOptimizeResult zr = zx::zx_optimize(c);
-    EXPECT_EQ(v.check_circuit_equiv(c, zr.circuit, "zx"), Outcome::passed);
-    EXPECT_EQ(v.summary().passed, 1u);
+    EXPECT_EQ(v.check_circuit_equiv(t, c, zr.circuit, "zx"), Outcome::passed);
+    EXPECT_EQ(t.passed.load(), 1u);
 }
 
 TEST(VerifyOracles, CircuitEquivCatchesDoctoredCircuit) {
     Verifier v = full_verifier();
+    VerifyTally t;
     const Circuit c = bench::ghz(3);
     Circuit doctored = c;
     doctored.x(0); // plausible circuit, wrong unitary
-    EXPECT_EQ(v.check_circuit_equiv(c, doctored, "zx"), Outcome::failed);
+    EXPECT_EQ(v.check_circuit_equiv(t, c, doctored, "zx"), Outcome::failed);
 }
 
 TEST(VerifyOracles, CircuitEquivIsWidthGated) {
@@ -207,42 +210,47 @@ TEST(VerifyOracles, CircuitEquivIsWidthGated) {
     o.level = VerifyLevel::full;
     o.max_equiv_qubits = 3;
     Verifier v{o};
+    VerifyTally t;
     const Circuit c = bench::ghz(5);
-    EXPECT_EQ(v.check_circuit_equiv(c, c, "zx"), Outcome::not_checked);
-    EXPECT_EQ(v.summary().skipped, 1u);
-    EXPECT_EQ(v.summary().checks, 0u);
+    EXPECT_EQ(v.check_circuit_equiv(t, c, c, "zx"), Outcome::not_checked);
+    EXPECT_EQ(t.skipped.load(), 1u);
+    EXPECT_EQ(t.checks.load(), 0u);
 }
 
 TEST(VerifyOracles, BlocksEquivPassesOnHonestPartition) {
     Verifier v = full_verifier();
+    VerifyTally t;
     const Circuit c = bench::qft(4);
     const auto blocks = partition::greedy_partition(c, {3, 24});
-    EXPECT_EQ(v.check_blocks_equiv(c, blocks, "partition"), Outcome::passed);
+    EXPECT_EQ(v.check_blocks_equiv(t, c, blocks, "partition"), Outcome::passed);
 }
 
 TEST(VerifyOracles, BlocksEquivCatchesTamperedBlock) {
     Verifier v = full_verifier();
+    VerifyTally t;
     const Circuit c = bench::qft(4);
     auto blocks = partition::greedy_partition(c, {3, 24});
     ASSERT_FALSE(blocks.empty());
     blocks.front().body.x(0); // corrupt one block's gates
-    EXPECT_EQ(v.check_blocks_equiv(c, blocks, "partition"), Outcome::failed);
+    EXPECT_EQ(v.check_blocks_equiv(t, c, blocks, "partition"), Outcome::failed);
 }
 
 TEST(VerifyOracles, BlocksEquivPassesOnHonestRegroup) {
     Verifier v = full_verifier();
+    VerifyTally t;
     const Circuit c = bench::qft(4);
     const auto groups = core::regroup(c, {3, 32});
-    EXPECT_EQ(v.check_blocks_equiv(c, groups, "regroup"), Outcome::passed);
+    EXPECT_EQ(v.check_blocks_equiv(t, c, groups, "regroup"), Outcome::passed);
 }
 
 TEST(VerifyOracles, SynthesizedBlockOracle) {
     Verifier v = full_verifier();
+    VerifyTally t;
     Circuit local(1);
     local.h(0);
-    EXPECT_EQ(v.check_synthesized_block(circuit::hadamard(), local, 1e-6),
+    EXPECT_EQ(v.check_synthesized_block(t, circuit::hadamard(), local, 1e-6),
               Outcome::passed);
-    EXPECT_EQ(v.check_synthesized_block(circuit::pauli_x(), local, 1e-6),
+    EXPECT_EQ(v.check_synthesized_block(t, circuit::pauli_x(), local, 1e-6),
               Outcome::failed);
 }
 
@@ -251,6 +259,7 @@ TEST(VerifyOracles, SynthesizedBlockOracle) {
 
 TEST(VerifyAudit, PassesOnHonestPulseAndCatchesCorruption) {
     Verifier v = full_verifier();
+    VerifyTally t;
     const auto h = qoc::make_block_hamiltonian(1);
     qoc::LatencySearchOptions opt;
     opt.fidelity_threshold = 0.99;
@@ -258,7 +267,7 @@ TEST(VerifyAudit, PassesOnHonestPulseAndCatchesCorruption) {
     ASSERT_TRUE(lr.feasible);
 
     double err = 1.0, resim = 0.0;
-    EXPECT_EQ(v.audit_pulse(h, circuit::pauli_x(), lr, &err, &resim), Outcome::passed);
+    EXPECT_EQ(v.audit_pulse(t, h, circuit::pauli_x(), lr, &err, &resim), Outcome::passed);
     EXPECT_LT(err, 1e-9); // recorded fidelity = the physics, to float noise
     EXPECT_NEAR(resim, lr.pulse.fidelity, 1e-9);
 
@@ -267,13 +276,13 @@ TEST(VerifyAudit, PassesOnHonestPulseAndCatchesCorruption) {
     // disagrees.
     qoc::LatencyResult bad = lr;
     for (auto& line : bad.pulse.amplitudes) std::fill(line.begin(), line.end(), 0.0);
-    EXPECT_EQ(v.audit_pulse(h, circuit::pauli_x(), bad, &err, &resim), Outcome::failed);
+    EXPECT_EQ(v.audit_pulse(t, h, circuit::pauli_x(), bad, &err, &resim), Outcome::failed);
     EXPECT_GT(err, 0.5); // drift-only evolution is nowhere near an X gate
     EXPECT_LT(resim, 0.5);
 
-    EXPECT_TRUE(v.revalidate(h, circuit::pauli_x(), lr));
-    EXPECT_FALSE(v.revalidate(h, circuit::pauli_x(), bad));
-    const VerifySummary s = v.summary();
+    EXPECT_TRUE(v.revalidate(t, h, circuit::pauli_x(), lr));
+    EXPECT_FALSE(v.revalidate(t, h, circuit::pauli_x(), bad));
+    const VerifySummary s = t.summary(v.options().level);
     EXPECT_EQ(s.revalidations, 2u);
     EXPECT_EQ(s.revalidate_rejects, 1u);
     EXPECT_FALSE(s.clean());
@@ -281,17 +290,18 @@ TEST(VerifyAudit, PassesOnHonestPulseAndCatchesCorruption) {
 
 TEST(VerifyAudit, BrokenVerifierNeverRejects) {
     Verifier v = full_verifier();
+    VerifyTally t;
     const auto h = qoc::make_block_hamiltonian(1);
     qoc::LatencyResult bad; // garbage result, but the verifier is down
     bad.pulse.fidelity = 0.9999;
     const FaultGuard g("verify.revalidate=*;verify.simulate=*;verify.equiv=*");
-    EXPECT_TRUE(v.revalidate(h, circuit::pauli_x(), bad)); // accept, don't reject
-    EXPECT_EQ(v.audit_pulse(h, circuit::pauli_x(), bad), Outcome::unverified);
+    EXPECT_TRUE(v.revalidate(t, h, circuit::pauli_x(), bad)); // accept, don't reject
+    EXPECT_EQ(v.audit_pulse(t, h, circuit::pauli_x(), bad), Outcome::unverified);
     Circuit a(1);
     a.x(0);
-    EXPECT_EQ(v.check_circuit_equiv(a, Circuit(1), "zx"), Outcome::unverified);
-    EXPECT_GT(v.summary().unverified, 0u);
-    EXPECT_EQ(v.summary().failed, 0u);
+    EXPECT_EQ(v.check_circuit_equiv(t, a, Circuit(1), "zx"), Outcome::unverified);
+    EXPECT_GT(t.unverified.load(), 0u);
+    EXPECT_EQ(t.failed.load(), 0u);
 }
 
 // ---------------------------------------------------------------------------
