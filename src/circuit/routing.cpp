@@ -128,4 +128,13 @@ int CouplingMap::next_hop(int a, int b) const {
     throw std::logic_error("CouplingMap::next_hop: no progress (disconnected?)");
 }
 
+std::vector<int> CouplingMap::path(int a, int b) const {
+    std::vector<int> between;
+    for (int p = a; p != b && !adjacent(p, b);) {
+        p = next_hop(p, b);
+        between.push_back(p);
+    }
+    return between;
+}
+
 } // namespace epoc::circuit

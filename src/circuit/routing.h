@@ -41,6 +41,9 @@ public:
     int distance(int a, int b) const;
     /// First hop on a shortest path a -> b (a itself if already adjacent/equal).
     int next_hop(int a, int b) const;
+    /// The qubits strictly between a and b on the next_hop path a -> b, in
+    /// walk order: empty when a == b or the two are adjacent.
+    std::vector<int> path(int a, int b) const;
     /// True when `qubits` induces a connected subgraph of the map (singletons
     /// and the empty set count as connected). Qubits must be in range.
     bool connected_subset(const std::vector<int>& qubits) const;

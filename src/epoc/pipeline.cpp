@@ -84,23 +84,6 @@ void report_stage_exception(EpocResult& res, util::Stage stage, util::Tracer& tr
     report_stage(res, std::move(st));
 }
 
-/// Partition and regroup options for one compile. Topology-aware mode
-/// partitions and regroups over the backend's coupling map (every block a
-/// connected subgraph, bridging gates routed/rejected per the configured
-/// policy).
-struct BlockOptions {
-    partition::PartitionOptions partition;
-    RegroupOptions regroup;
-};
-
-BlockOptions block_options(const EpocOptions& opt, const backend::Backend& be) {
-    BlockOptions bo{opt.partition, opt.regroup_opt};
-    bo.partition.coupling = &be.coupling;
-    bo.regroup.coupling = &be.coupling;
-    bo.regroup.bridge_policy = bo.partition.bridge_policy;
-    return bo;
-}
-
 /// A block-local gate re-addressed to the block's global qubit ids.
 Gate global_gate(const Gate& g, const partition::CircuitBlock& blk) {
     Gate out = g;
@@ -124,11 +107,8 @@ PulseTarget gate_pulse_target(const backend::Backend& be, const Gate& g) {
     // operand pair (a pulse over a disconnected set cannot entangle it).
     std::set<int> support(g.qubits.begin(), g.qubits.end());
     for (std::size_t i = 1; i < g.qubits.size(); ++i) {
-        int cur = g.qubits[0];
-        while (cur != g.qubits[i] && !be.coupling.adjacent(cur, g.qubits[i])) {
-            cur = be.coupling.next_hop(cur, g.qubits[i]);
-            support.insert(cur);
-        }
+        const std::vector<int> between = be.coupling.path(g.qubits[0], g.qubits[i]);
+        support.insert(between.begin(), between.end());
     }
     const int width = static_cast<int>(support.size());
     // Operands that couple directly: the gate's own unitary, operand order.
@@ -591,7 +571,6 @@ void EpocCompiler::pulse_unit(const PulseUnit& unit, std::size_t index, const Wa
     const backend::Backend& be = ctx.be;
     qoc::LatencySearchOptions lopt = opt_.latency;
     lopt.deadline = &ctx.deadline;
-    lopt.grape.deadline = &ctx.deadline;
     if (blk != nullptr) {
         // Coarser duration resolution for big blocks keeps the GRAPE
         // budget bounded (dim-16 propagators are ~8x dim-8 cost).
@@ -788,7 +767,7 @@ std::size_t EpocCompiler::pulse_stage(const Circuit& current, const CompilationP
             util::Tracer::Span regroup_span = ctx.trace.span("regroup", "pipeline");
             util::fault::maybe_throw("regroup.fail");
             const std::vector<partition::CircuitBlock> groups =
-                regroup(current, block_options(opt_, ctx.be).regroup);
+                regroup(current, opt_.regroup_opt, &ctx.be.coupling);
             regroup_span.end();
             num_groups = groups.size();
             ctx.trace.add_counter("pipeline.regroup_blocks", groups.size());
@@ -894,7 +873,7 @@ Circuit EpocCompiler::front_end(const Circuit& c, CompileContext& ctx, EpocResul
             util::Tracer::Span part_span = ctx.trace.span("partition", "pipeline");
             util::fault::maybe_throw("partition.fail");
             const std::vector<partition::CircuitBlock> blocks =
-                partition::greedy_partition(current, block_options(opt_, ctx.be).partition);
+                partition::greedy_partition(current, opt_.partition, &ctx.be.coupling);
             part_span.end();
             res.num_blocks = blocks.size();
             // Stage oracle: the block list must reproduce the circuit it

@@ -64,7 +64,8 @@ struct EpocOptions {
     bool use_synthesis = true;
     bool regroup_enabled = true;
     partition::PartitionOptions partition{/*max_qubits=*/3, /*max_gates=*/24};
-    RegroupOptions regroup_opt{/*max_qubits=*/3, /*max_gates=*/32};
+    /// Block limits for regrouping the synthesized circuit (epoc/regroup.h).
+    partition::PartitionOptions regroup_opt{/*max_qubits=*/3, /*max_gates=*/32};
     synthesis::QSearchOptions qsearch;
     /// Use the analytic KAK decomposition (synthesis/kak.h) as the synthesis
     /// fast path for 2-qubit blocks: exact and ~1000x faster than QSearch,
@@ -263,20 +264,19 @@ struct CompileCallOptions {
     const util::CancelToken* cancel = nullptr;
     /// Target hardware backend (backend/backend.h). Every compile is
     /// device-aware end to end: the circuit is widened to the device register,
-    /// partitioning/regrouping run in topology-aware mode over the backend's
-    /// coupling map (every block a connected subgraph; non-adjacent bridging
-    /// gates routed or rejected per `partition.bridge_policy`), synthesis
-    /// restricts CNOT placements to coupling edges, and pulse targets use the
-    /// backend's edge-resolved Hamiltonians (3-level leakage-aware when
-    /// `levels == 3`). The backend name and each block's calibration join
-    /// every pulse-library and store key, and the backend fingerprint every
-    /// plan-cache key: pulses are shared only by blocks with one backend name
-    /// and one Hamiltonian, plans only within one backend. nullptr (the
-    /// default) compiles on an implicit all-to-all device of the circuit's
-    /// width built from EpocOptions::device, with the empty name.
-    /// EpocOptions' `partition.coupling` / `regroup_opt.coupling` are always
-    /// overridden. The daemon resolves each job's backend name against its
-    /// registry and passes the result here.
+    /// partitioning and regrouping run over the backend's coupling map (every
+    /// block a connected subgraph; non-adjacent bridging gates SWAP-walked
+    /// along shortest paths), synthesis restricts CNOT placements to coupling
+    /// edges, and pulse targets use the backend's edge-resolved Hamiltonians
+    /// (3-level leakage-aware when `levels == 3`). The backend name and each
+    /// block's calibration join every pulse-library and store key, and the
+    /// backend fingerprint every plan-cache key: pulses are shared only by
+    /// blocks with one backend name and one Hamiltonian, plans only within
+    /// one backend. nullptr (the default) compiles on an implicit all-to-all
+    /// device of the circuit's width built from EpocOptions::device, with the
+    /// empty name; its coupling map is the complete graph. The daemon
+    /// resolves each job's backend name against its registry and passes the
+    /// result here.
     std::shared_ptr<const backend::Backend> backend;
 };
 

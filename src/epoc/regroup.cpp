@@ -33,14 +33,10 @@ partition::CircuitBlock merge_blocks(const partition::CircuitBlock& a,
 } // namespace
 
 std::vector<partition::CircuitBlock> regroup(const circuit::Circuit& synthesized,
-                                             const RegroupOptions& opt) {
-    partition::PartitionOptions popt;
-    popt.max_qubits = opt.max_qubits;
-    popt.max_gates = opt.max_gates;
-    popt.coupling = opt.coupling;
-    popt.bridge_policy = opt.bridge_policy;
+                                             const partition::PartitionOptions& opt,
+                                             const circuit::CouplingMap* coupling) {
     std::vector<partition::CircuitBlock> blocks =
-        partition::greedy_partition(synthesized, popt);
+        partition::greedy_partition(synthesized, opt, coupling);
 
     // Absorb bridges and fuse neighbours: repeatedly merge consecutive blocks
     // whose qubit union still fits the limits. This is the aggregation the

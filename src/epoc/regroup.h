@@ -9,21 +9,12 @@
 
 namespace epoc::core {
 
-struct RegroupOptions {
-    /// Qubits per regrouped unitary (the paper's "suitable size" knob; QOC
-    /// cost grows exponentially here).
-    int max_qubits = 2;
-    /// Gates folded into one block before a vertical cut.
-    int max_gates = 32;
-    /// Device coupling map: regrouped blocks stay connected subgraphs (see
-    /// PartitionOptions::coupling). nullptr = topology-unconstrained.
-    const circuit::CouplingMap* coupling = nullptr;
-    /// Policy for non-adjacent bridging gates when `coupling` is set.
-    partition::BridgePolicy bridge_policy = partition::BridgePolicy::route;
-};
-
-/// Aggregate a synthesized circuit into pulse-sized blocks.
+/// Aggregate a synthesized circuit into pulse-sized blocks of at most
+/// `opt.max_qubits` qubits (the paper's "suitable size" knob; QOC cost grows
+/// exponentially here) and `opt.max_gates` gates. Blocks stay connected
+/// subgraphs of `coupling` (nullptr = all-to-all), as in greedy_partition.
 std::vector<partition::CircuitBlock> regroup(const circuit::Circuit& synthesized,
-                                             const RegroupOptions& opt);
+                                             const partition::PartitionOptions& opt,
+                                             const circuit::CouplingMap* coupling = nullptr);
 
 } // namespace epoc::core

@@ -73,64 +73,6 @@ SymmetricEigen jacobi_symmetric(const Matrix& a, double tol) {
     return out;
 }
 
-HermitianEigen hermitian_eigen(const Matrix& h, double tol) {
-    if (!h.is_square()) throw std::invalid_argument("hermitian_eigen: not square");
-    const std::size_t n = h.rows();
-    if (h.max_abs_diff(h.dagger()) > 1e-9)
-        throw std::invalid_argument("hermitian_eigen: matrix not Hermitian");
-
-    // Real embedding: E = [[Re, -Im], [Im, Re]] is symmetric; eigenvalues of
-    // h appear twice, eigenvectors come in (x, y) ~ x + i y pairs.
-    Matrix e(2 * n, 2 * n);
-    for (std::size_t r = 0; r < n; ++r)
-        for (std::size_t c = 0; c < n; ++c) {
-            e(r, c) = cplx{h(r, c).real(), 0.0};
-            e(r, c + n) = cplx{-h(r, c).imag(), 0.0};
-            e(r + n, c) = cplx{h(r, c).imag(), 0.0};
-            e(r + n, c + n) = cplx{h(r, c).real(), 0.0};
-        }
-    const SymmetricEigen se = jacobi_symmetric(e, tol);
-
-    // Take every other eigenpair (they are doubled) and re-complexify,
-    // Gram-Schmidting within degenerate clusters to keep the basis unitary.
-    HermitianEigen out;
-    out.values.reserve(n);
-    out.vectors = Matrix(n, n);
-    std::vector<std::vector<cplx>> basis;
-    for (std::size_t j = 0; j < 2 * n && basis.size() < n; ++j) {
-        std::vector<cplx> cand(n);
-        for (std::size_t i = 0; i < n; ++i)
-            cand[i] = cplx{se.vectors(i, j).real(), 0.0} +
-                      cplx{0.0, 1.0} * se.vectors(i + n, j).real();
-        // Orthogonalize against previously accepted vectors (the embedded
-        // double of an accepted eigenvector projects to i*that vector).
-        for (const auto& b : basis) {
-            cplx ov{0.0, 0.0};
-            for (std::size_t i = 0; i < n; ++i) ov += std::conj(b[i]) * cand[i];
-            for (std::size_t i = 0; i < n; ++i) cand[i] -= ov * b[i];
-        }
-        double norm = 0.0;
-        for (const cplx& x : cand) norm += std::norm(x);
-        norm = std::sqrt(norm);
-        if (norm < 1e-8) continue; // duplicate of an accepted pair
-        for (cplx& x : cand) x /= norm;
-        out.values.push_back(se.values[j]);
-        basis.push_back(std::move(cand));
-    }
-    if (basis.size() != n) throw std::logic_error("hermitian_eigen: basis extraction failed");
-    for (std::size_t j = 0; j < n; ++j)
-        for (std::size_t i = 0; i < n; ++i) out.vectors(i, j) = basis[j][i];
-    return out;
-}
-
-Matrix exp_i_hermitian(const Matrix& h, double t) {
-    const HermitianEigen e = hermitian_eigen(h);
-    const std::size_t n = h.rows();
-    Matrix d(n, n);
-    for (std::size_t j = 0; j < n; ++j) d(j, j) = std::polar(1.0, -e.values[j] * t);
-    return e.vectors * d * e.vectors.dagger();
-}
-
 std::optional<std::pair<Matrix, Matrix>> kron_factor_2x2(const Matrix& u,
                                                          bool require_exact,
                                                          double tol) {

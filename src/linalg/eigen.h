@@ -1,7 +1,6 @@
-// Eigensolvers: cyclic Jacobi for real symmetric matrices and, via the
-// standard real embedding, Hermitian matrices. Also a closest-Kronecker
-// factorization for 4x4 operators (exact on product unitaries), the building
-// block of two-qubit KAK-style analysis.
+// Cyclic Jacobi for real symmetric matrices, and a closest-Kronecker
+// factorization for 4x4 operators (exact on product unitaries): the building
+// blocks of two-qubit KAK-style analysis (synthesis/kak.h).
 #pragma once
 
 #include "linalg/matrix.h"
@@ -20,20 +19,6 @@ struct SymmetricEigen {
 /// Cyclic Jacobi on a real symmetric matrix (imaginary parts must be ~0).
 /// Throws std::invalid_argument for non-square or non-symmetric input.
 SymmetricEigen jacobi_symmetric(const Matrix& a, double tol = 1e-12);
-
-struct HermitianEigen {
-    std::vector<double> values; ///< ascending
-    Matrix vectors;             ///< unitary; column j pairs with values[j]
-};
-
-/// Eigendecomposition of a Hermitian matrix through the 2n x 2n real
-/// symmetric embedding [[Re, -Im], [Im, Re]].
-HermitianEigen hermitian_eigen(const Matrix& h, double tol = 1e-12);
-
-/// exp(-i * h * t) for Hermitian h via eigendecomposition; exact to solver
-/// tolerance and cheaper than Pade when many exponentials of the same
-/// dimension are needed.
-Matrix exp_i_hermitian(const Matrix& h, double t);
 
 /// Closest Kronecker factorization of a 4x4 matrix: u ~ a (x) b with
 /// ||a|| = ||b|| balanced. Returns nullopt if u is (numerically) not a

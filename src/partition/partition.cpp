@@ -4,21 +4,22 @@
 
 #include <algorithm>
 #include <map>
-#include <numeric>
 #include <set>
 #include <stdexcept>
-#include <string>
 
 namespace epoc::partition {
 
 using circuit::Circuit;
+using circuit::CouplingMap;
 using circuit::Gate;
 
 std::vector<std::vector<int>> group_qubits(const Circuit& c, int max_qubits,
-                                           const circuit::CouplingMap* coupling) {
+                                           const CouplingMap* coupling) {
     if (max_qubits < 1) throw std::invalid_argument("group_qubits: max_qubits < 1");
     const int nq = c.num_qubits();
-    if (coupling != nullptr && nq > coupling->num_qubits())
+    const CouplingMap full = CouplingMap::full(nq);
+    const CouplingMap& cm = coupling ? *coupling : full;
+    if (nq > cm.num_qubits())
         throw std::invalid_argument("group_qubits: circuit wider than coupling map");
     // Interaction weights: how often two qubits share a gate.
     std::map<std::pair<int, int>, int> weight;
@@ -36,22 +37,16 @@ std::vector<std::vector<int>> group_qubits(const Circuit& c, int max_qubits,
         if (taken[static_cast<std::size_t>(q)]) continue;
         std::vector<int> group{q};
         taken[static_cast<std::size_t>(q)] = true;
-        // Grow by the heaviest edges into the current group. Topology-aware
-        // mode additionally requires the candidate to be coupling-adjacent to
-        // a current member, so groups stay connected subgraphs of the device.
+        // Grow by the heaviest edges into the current group, taking only
+        // candidates coupling-adjacent to a current member, so groups stay
+        // connected subgraphs of the device.
         while (static_cast<int>(group.size()) < max_qubits) {
             int best = -1, best_w = 0;
             for (int cand = 0; cand < nq; ++cand) {
                 if (taken[static_cast<std::size_t>(cand)]) continue;
-                if (coupling != nullptr) {
-                    bool touches = false;
-                    for (const int m : group)
-                        if (coupling->adjacent(m, cand)) {
-                            touches = true;
-                            break;
-                        }
-                    if (!touches) continue;
-                }
+                if (std::none_of(group.begin(), group.end(),
+                                 [&](int m) { return cm.adjacent(m, cand); }))
+                    continue;
                 int w = 0;
                 for (const int m : group) {
                     const auto it = weight.find({std::min(m, cand), std::max(m, cand)});
@@ -113,19 +108,13 @@ CircuitBlock one_gate_block(std::vector<int> qubits, const Gate& g) {
     return close_block(std::move(ob), true);
 }
 
-std::string gate_span_str(const Gate& g) {
-    std::string s = "(";
-    for (std::size_t i = 0; i < g.qubits.size(); ++i) {
-        if (i > 0) s += ",";
-        s += std::to_string(g.qubits[i]);
-    }
-    return s + ")";
-}
-
 } // namespace
 
-std::vector<CircuitBlock> greedy_partition(const Circuit& c, const PartitionOptions& opt) {
-    const auto groups = group_qubits(c, opt.max_qubits, opt.coupling);
+std::vector<CircuitBlock> greedy_partition(const Circuit& c, const PartitionOptions& opt,
+                                           const CouplingMap* coupling) {
+    const CouplingMap full = CouplingMap::full(c.num_qubits());
+    const CouplingMap& cm = coupling ? *coupling : full;
+    const auto groups = group_qubits(c, opt.max_qubits, &cm);
     const int nq = c.num_qubits();
     std::vector<int> group_of(static_cast<std::size_t>(nq), -1);
     for (std::size_t gi = 0; gi < groups.size(); ++gi)
@@ -162,31 +151,12 @@ std::vector<CircuitBlock> greedy_partition(const Circuit& c, const PartitionOpti
         }
         // Bridging gate: close every involved group to preserve order, then
         // emit the gate as its own block.
-        if (opt.coupling == nullptr) {
-            for (const int gi : gate_groups) flush(static_cast<std::size_t>(gi));
-            OpenBlock bridge;
-            bridge.qubits = g.qubits;
-            std::sort(bridge.qubits.begin(), bridge.qubits.end());
-            bridge.gates.push_back(g);
-            out.push_back(close_block(std::move(bridge), true));
-            continue;
-        }
-        const circuit::CouplingMap& cm = *opt.coupling;
         if (g.arity() == 2 && !cm.adjacent(g.qubits[0], g.qubits[1])) {
-            if (opt.bridge_policy == BridgePolicy::reject)
-                throw std::invalid_argument(
-                    "greedy_partition: bridging gate " + gate_span_str(g) +
-                    " spans non-adjacent qubits (bridge policy: reject)");
             // SWAP-walk the first operand toward the second along a shortest
             // path, apply the gate on the adjacent pair, then walk back. The
             // net layout is the identity, so the block list stays
             // unitary-equal to the input and later gates are unaffected.
-            std::vector<int> walk;
-            int pos = g.qubits[0];
-            while (!cm.adjacent(pos, g.qubits[1])) {
-                pos = cm.next_hop(pos, g.qubits[1]);
-                walk.push_back(pos);
-            }
+            const std::vector<int> walk = cm.path(g.qubits[0], g.qubits[1]);
             std::set<int> touched{g.qubits[0], g.qubits[1]};
             touched.insert(walk.begin(), walk.end());
             flush_touching(touched);
@@ -212,17 +182,9 @@ std::vector<CircuitBlock> greedy_partition(const Circuit& c, const PartitionOpti
         // subgraph of the device.
         std::set<int> closure(g.qubits.begin(), g.qubits.end());
         for (std::size_t i = 1; i < g.qubits.size(); ++i) {
-            int p = g.qubits[0];
-            while (p != g.qubits[i] && !cm.adjacent(p, g.qubits[i])) {
-                p = cm.next_hop(p, g.qubits[i]);
-                closure.insert(p);
-            }
+            const std::vector<int> between = cm.path(g.qubits[0], g.qubits[i]);
+            closure.insert(between.begin(), between.end());
         }
-        if (opt.bridge_policy == BridgePolicy::reject &&
-            closure.size() != g.qubits.size())
-            throw std::invalid_argument(
-                "greedy_partition: bridging gate " + gate_span_str(g) +
-                " spans non-adjacent qubits (bridge policy: reject)");
         flush_touching(closure);
         out.push_back(
             one_gate_block(std::vector<int>(closure.begin(), closure.end()), g));

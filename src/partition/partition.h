@@ -1,19 +1,21 @@
-// Greedy circuit partitioning (paper Algorithm 1).
+// Greedy circuit partitioning (paper Algorithm 1) over a device coupling map.
 //
 // Horizontal cut: qubits are grouped by interaction-graph connectivity up to
-// a group-size limit. Vertical cut: gates are filled into the open block of
-// their group, in program order, until a gate-count limit is reached. A gate
-// spanning two groups closes both groups' open blocks and is emitted as its
-// own bridging block, preserving execution order exactly: replaying the block
-// list in order reproduces the original circuit.
+// a group-size limit, growing only along coupling edges, so every group is a
+// connected subgraph of the device. Vertical cut: gates are filled into the
+// open block of their group, in program order, until a gate-count limit is
+// reached. A gate spanning two groups closes the open blocks it touches and
+// is emitted as its own bridging block, preserving execution order exactly:
+// replaying the block list in order reproduces the original circuit.
 //
-// Topology-aware mode (opt.coupling != nullptr): every emitted block's qubit
-// set induces a connected subgraph of the device coupling map, so each block
-// is physically realizable. Groups only grow along coupling edges, and
-// cross-group bridging gates between non-adjacent qubits are handled per
-// BridgePolicy — routed via the coupling map's shortest paths (SWAP-walk
-// bridge blocks that restore the layout afterwards, keeping the block list
-// unitary-equivalent to the input) or rejected with an error.
+// Bridging gates follow the map's shortest paths (CouplingMap::path). A
+// two-qubit gate on non-adjacent qubits is SWAP-walked: bridge blocks move
+// one operand next to the other, apply the gate and walk back, so the block
+// list stays unitary-equivalent to the input. A wider gate's block spans the
+// connected closure of its operands. greedy_partition and group_qubits take
+// the map as their last argument; none (nullptr) means an all-to-all device,
+// CouplingMap::full(c.num_qubits()), where every pair is adjacent and no
+// gate is walked.
 #pragma once
 
 #include "circuit/circuit.h"
@@ -23,25 +25,12 @@
 
 namespace epoc::partition {
 
-/// What to do with a bridging gate whose operands are not adjacent on the
-/// coupling map (topology-aware mode only).
-enum class BridgePolicy {
-    route, ///< SWAP-walk the operands together along shortest paths
-    reject ///< throw std::invalid_argument naming the infeasible gate
-};
-
 struct PartitionOptions {
     /// Maximum number of qubits per group (paper uses up to 8; our QOC-bound
     /// benches use 2-4 so GRAPE matrices stay small on one core).
     int max_qubits = 3;
     /// Maximum number of gates per block before a vertical cut.
     int max_gates = 24;
-    /// Device coupling map for topology-aware partitioning; nullptr (the
-    /// default) keeps the topology-unconstrained behaviour. Not owned; must
-    /// outlive the call. The circuit must not be wider than the map.
-    const circuit::CouplingMap* coupling = nullptr;
-    /// Feasibility policy for non-adjacent bridging gates (coupling set only).
-    BridgePolicy bridge_policy = BridgePolicy::route;
 };
 
 struct CircuitBlock {
@@ -51,16 +40,19 @@ struct CircuitBlock {
     /// The block's gates over local qubit indices.
     circuit::Circuit body;
     /// True if this block is a single cross-group bridging gate (or one of
-    /// the SWAP-walk blocks routing such a gate in topology-aware mode).
+    /// the SWAP-walk blocks routing such a gate).
     bool bridge = false;
 };
 
-/// Partition `c`. Blocks come back in a valid execution order.
+/// Partition `c` over `coupling` (not owned; the circuit must not be wider
+/// than it; nullptr = all-to-all). Blocks come back in a valid execution
+/// order, each over a connected subgraph of the map.
 std::vector<CircuitBlock> greedy_partition(const circuit::Circuit& c,
-                                           const PartitionOptions& opt = {});
+                                           const PartitionOptions& opt = {},
+                                           const circuit::CouplingMap* coupling = nullptr);
 
-/// The horizontal cut on its own (paper Algorithm 1, GroupQubits). With a
-/// coupling map, groups only grow along its edges (connected subgraphs).
+/// The horizontal cut on its own (paper Algorithm 1, GroupQubits): groups
+/// only grow along the edges of `coupling` (nullptr = all-to-all).
 std::vector<std::vector<int>> group_qubits(const circuit::Circuit& c, int max_qubits,
                                            const circuit::CouplingMap* coupling = nullptr);
 

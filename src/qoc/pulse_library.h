@@ -214,15 +214,6 @@ public:
         out.store_warm_skipped = store_warm_skipped_.load(std::memory_order_relaxed);
         return out;
     }
-    void reset_stats() {
-        cache_.reset_stats();
-        store_hits_.store(0, std::memory_order_relaxed);
-        store_pack_hits_.store(0, std::memory_order_relaxed);
-        store_misses_.store(0, std::memory_order_relaxed);
-        store_writes_.store(0, std::memory_order_relaxed);
-        store_rejected_.store(0, std::memory_order_relaxed);
-        store_warm_skipped_.store(0, std::memory_order_relaxed);
-    }
 
 private:
     std::string key_of(const BlockHamiltonian& h, const Matrix& m,

@@ -45,11 +45,23 @@ struct EpocDaemon::Connection {
     bool open = true;
     bool writer_exit = false;
 
-    /// Cancel tokens of every job this client submitted; fired on
-    /// disconnect so the client's queued/in-flight work stops consuming
-    /// the service. weak_ptr: a finished job's token may be long gone.
+    /// Cancel tokens of this client's queued and in-flight jobs; fired on
+    /// disconnect so its work stops consuming the service. weak_ptr: a
+    /// finished job drops its token, and add_token() prunes the expired
+    /// entries, so a long-lived connection holds only its open jobs' tokens.
     std::mutex tokens_mutex;
     std::vector<std::weak_ptr<util::CancelToken>> job_tokens;
+
+    void add_token(const std::shared_ptr<util::CancelToken>& token) {
+        std::lock_guard<std::mutex> lock(tokens_mutex);
+        std::erase_if(job_tokens, [](const auto& weak) { return weak.expired(); });
+        job_tokens.emplace_back(token);
+    }
+
+    std::size_t held_tokens() {
+        std::lock_guard<std::mutex> lock(tokens_mutex);
+        return job_tokens.size();
+    }
 
     void fire_tokens() {
         std::lock_guard<std::mutex> lock(tokens_mutex);
@@ -435,10 +447,7 @@ void EpocDaemon::handle_job_request(const std::shared_ptr<Connection>& conn,
         job.deadline = util::Deadline::after_ms(job.request.deadline_ms);
     job.deadline.link(job.cancel.get());
     job.enqueued_at = std::chrono::steady_clock::now();
-    {
-        std::lock_guard<std::mutex> lock(conn->tokens_mutex);
-        conn->job_tokens.emplace_back(job.cancel);
-    }
+    conn->add_token(job.cancel);
     const std::uint64_t id = job.request.id;
     std::weak_ptr<Connection> weak_conn = conn;
     job.respond = [this, weak_conn](const JobResponse& resp) {
@@ -528,8 +537,12 @@ void EpocDaemon::executor_loop() {
         // Account before answering: a client that probes the status endpoint
         // right after its response must see its own job in the counters.
         admission_.finish(job, resp);
-        job.respond(resp);
-        job = Job{}; // drop the token/responder refs before blocking again
+        // Drop the job, and with it its cancel token, before answering: a
+        // client that submits again on reading this response must find the
+        // token expired, so its connection prunes the entry.
+        const auto respond = std::move(job.respond);
+        job = Job{};
+        respond(resp);
     }
     std::lock_guard<std::mutex> lock(drain_mutex_);
     --live_executors_;
@@ -672,6 +685,12 @@ StatusResponse EpocDaemon::status() const {
         degraded_shipped_.load(std::memory_order_relaxed));
     put("service.drain_deadline_exceeded",
         drain_deadline_exceeded_.load(std::memory_order_relaxed));
+    std::uint64_t job_tokens = 0;
+    {
+        std::lock_guard<std::mutex> lock(conns_mutex_);
+        for (const auto& conn : conns_) job_tokens += conn->held_tokens();
+    }
+    put("service.job_tokens", job_tokens);
     put("service.queued", a.queued);
     put("service.in_flight", a.in_flight);
     put("service.peak_pending", a.peak_pending);

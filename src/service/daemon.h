@@ -179,7 +179,7 @@ private:
     std::thread accept_thread_;
     std::thread watchdog_thread_;
     std::vector<std::thread> executors_;
-    std::mutex conns_mutex_;
+    mutable std::mutex conns_mutex_;
     std::vector<std::shared_ptr<Connection>> conns_;
 
     std::atomic<bool> running_{false};

@@ -261,13 +261,6 @@ public:
         return s;
     }
 
-    void reset_stats() {
-        hits_.store(0, std::memory_order_relaxed);
-        misses_.store(0, std::memory_order_relaxed);
-        waits_.store(0, std::memory_order_relaxed);
-        uncacheable_.store(0, std::memory_order_relaxed);
-    }
-
 private:
     struct Slot {
         mutable std::mutex mutex;

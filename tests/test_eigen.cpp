@@ -1,9 +1,7 @@
 #include "linalg/eigen.h"
 
 #include "circuit/gate.h"
-#include "linalg/expm.h"
 #include "linalg/random_unitary.h"
-#include "qoc/hamiltonian.h"
 
 #include <gtest/gtest.h>
 
@@ -23,20 +21,6 @@ Matrix random_real_symmetric(std::size_t n, std::uint64_t seed) {
             a(r, c) = cplx{g(rng), 0.0};
             a(c, r) = a(r, c);
         }
-    return a;
-}
-
-Matrix random_hermitian(std::size_t n, std::uint64_t seed) {
-    std::mt19937_64 rng(seed);
-    std::normal_distribution<double> g(0.0, 1.0);
-    Matrix a(n, n);
-    for (std::size_t r = 0; r < n; ++r) {
-        a(r, r) = cplx{g(rng), 0.0};
-        for (std::size_t c = r + 1; c < n; ++c) {
-            a(r, c) = cplx{g(rng), g(rng)};
-            a(c, r) = std::conj(a(r, c));
-        }
-    }
     return a;
 }
 
@@ -75,42 +59,6 @@ TEST(Jacobi, RejectsNonSymmetric) {
     Matrix b(2, 2);
     b(0, 0) = cplx{0, 1};
     EXPECT_THROW(jacobi_symmetric(b), std::invalid_argument);
-}
-
-TEST(HermitianEigen, ReconstructsRandomHermitian) {
-    for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-        const std::size_t n = 3 + seed % 3;
-        const Matrix h = random_hermitian(n, seed);
-        const HermitianEigen e = hermitian_eigen(h);
-        Matrix d(n, n);
-        for (std::size_t j = 0; j < n; ++j) d(j, j) = cplx{e.values[j], 0.0};
-        EXPECT_LT((e.vectors * d * e.vectors.dagger()).max_abs_diff(h), 1e-8) << seed;
-        EXPECT_TRUE(e.vectors.is_unitary(1e-8)) << seed;
-    }
-}
-
-TEST(HermitianEigen, HandlesDegenerateSpectrum) {
-    // Pauli Z (x) I has eigenvalues {+1, +1, -1, -1}.
-    const Matrix h = kron(epoc::circuit::pauli_z(), Matrix::identity(2));
-    const HermitianEigen e = hermitian_eigen(h);
-    Matrix d(4, 4);
-    for (std::size_t j = 0; j < 4; ++j) d(j, j) = cplx{e.values[j], 0.0};
-    EXPECT_LT((e.vectors * d * e.vectors.dagger()).max_abs_diff(h), 1e-8);
-    EXPECT_TRUE(e.vectors.is_unitary(1e-8));
-}
-
-TEST(ExpIHermitian, MatchesPade) {
-    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-        const Matrix h = random_hermitian(4, seed + 20);
-        EXPECT_LT(exp_i_hermitian(h, 0.7).max_abs_diff(exp_i(h, 0.7)), 1e-7);
-    }
-}
-
-TEST(ExpIHermitian, WorksOnBlockHamiltonian) {
-    const auto bh = epoc::qoc::make_block_hamiltonian(2);
-    Matrix h = bh.drift;
-    for (const auto& c : bh.controls) h += c.h;
-    EXPECT_LT(exp_i_hermitian(h, 2.0).max_abs_diff(exp_i(h, 2.0)), 1e-7);
 }
 
 TEST(KronFactor, ExactProductRecovered) {

@@ -168,6 +168,26 @@ TEST(Expm, AntiHermitianGivesUnitary) {
     EXPECT_TRUE(exp_i(h, 1.3).is_unitary(1e-8));
 }
 
+TEST(Expm, MatchesSpectralConstruction) {
+    // An independent check on Pade: H = V diag(l) V-dagger from a Haar-random
+    // V has exp(-iHt) = V diag(exp(-i l t)) V-dagger exactly.
+    std::mt19937_64 rng(17);
+    std::uniform_real_distribution<double> spectrum(-2.0, 2.0);
+    for (const std::size_t d : {4u, 8u, 16u}) {
+        const Matrix v = random_unitary(d, rng);
+        Matrix lam(d, d);
+        Matrix phase(d, d);
+        const double t = 0.7;
+        for (std::size_t j = 0; j < d; ++j) {
+            const double l = spectrum(rng);
+            lam(j, j) = cplx{l, 0.0};
+            phase(j, j) = std::polar(1.0, -l * t);
+        }
+        const Matrix h = v * lam * v.dagger();
+        EXPECT_LT(exp_i(h, t).max_abs_diff(v * phase * v.dagger()), 1e-10) << "d=" << d;
+    }
+}
+
 TEST(Qr, ReconstructsInput) {
     std::mt19937_64 rng(5);
     std::normal_distribution<double> g(0.0, 1.0);

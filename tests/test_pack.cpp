@@ -21,6 +21,8 @@
 #include "store/pack.h"
 #include "store/pulse_store.h"
 
+#include "fuzz_mutate.h"
+
 #include "bench_circuits/generators.h"
 #include "circuit/gate.h"
 #include "epoc/export.h"
@@ -39,6 +41,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -370,6 +373,48 @@ TEST(PackUnit, PackDirsFromEnvSplitsColonsAndSkipsEmpties) {
     EXPECT_EQ(dirs[2], "d");
     EXPECT_TRUE(PulseStore::pack_dirs_from_env().empty());
 #endif
+}
+
+TEST(PackFuzz, SeededMutantsOpenOrReject) {
+    // 2,000 seeded mutants of a valid three-entry pack (tests/fuzz_mutate.h):
+    // open() rejects or opens each; on an opened one every find() and the
+    // whole for_each() run, answering hit, miss or corruption -- never a
+    // crash, and never an index or entry bigger than the file.
+    TempDir dir;
+    std::vector<PackEntry> entries;
+    for (int i = 0; i < 3; ++i)
+        entries.push_back({"key|" + std::to_string(i), encode_latency_result(sample_result(i))});
+    const fs::path good = dir.path / "good.pack";
+    ASSERT_TRUE(epoc::store::write_pack(good, entries));
+    const std::string base = slurp(good);
+    const fs::path mutant = dir.path / "mutant.pack";
+    std::mt19937_64 rng(0x5041434B); // "PACK"
+    int opened = 0, rejected = 0;
+    for (int i = 0; i < 2000; ++i) {
+        const std::string bytes =
+            epoc::test::mutate(base, rng, std::string("\x00\x01\x18\x7f\x80\xff", 6));
+        std::ofstream(mutant, std::ios::binary | std::ios::trunc) << bytes;
+        const std::shared_ptr<PackReader> pack = PackReader::open(mutant);
+        if (pack == nullptr) {
+            ++rejected;
+            continue;
+        }
+        ++opened;
+        EXPECT_LE(pack->entry_count() * 24, bytes.size());
+        for (const PackEntry& e : entries) {
+            const std::optional<LatencyResult> hit = pack->find(e.key);
+            if (!hit) continue;
+            std::size_t doubles = 0;
+            for (const auto& line : hit->pulse.amplitudes) doubles += line.size();
+            EXPECT_LE(8 * doubles, bytes.size());
+        }
+        pack->for_each([&](const std::string& key, const std::string& payload) {
+            EXPECT_LE(key.size() + payload.size(), bytes.size());
+            return true;
+        });
+    }
+    EXPECT_GT(opened, 0) << "no mutant kept a valid index, so no lookup ran";
+    EXPECT_GT(rejected, 0) << "no mutation ever broke the index";
 }
 
 // ------------------------------------------------------- PulseStore layering

@@ -130,11 +130,11 @@ TEST(Partition, EmptyCircuitYieldsNoBlocks) {
     EXPECT_TRUE(greedy_partition(c, {}).empty());
 }
 
-// --- Topology-aware mode -------------------------------------------------
+// --- Over a device coupling map ------------------------------------------
 
 using epoc::circuit::CouplingMap;
 
-/// Every block a topology-aware partition emits must be physically
+/// Every block a partition over a coupling map emits must be physically
 /// realizable: its qubit set induces a connected subgraph of the device.
 /// Bridge blocks additionally need coupling-adjacent operands — they ship to
 /// hardware verbatim, while non-bridge bodies are re-synthesized downstream
@@ -179,8 +179,7 @@ TEST(PartitionTopology, BlocksFeasibleAndRoundTripOnEveryDevice) {
         const Circuit c = epoc::bench::random_circuit(spec);
         PartitionOptions opt;
         opt.max_qubits = 3;
-        opt.coupling = &map;
-        const auto blocks = greedy_partition(c, opt);
+        const auto blocks = greedy_partition(c, opt, &map);
         expect_blocks_feasible(blocks, map);
         // The SWAP-walk bridges must cancel: replaying the block list is the
         // original program (up to global phase).
@@ -198,8 +197,7 @@ TEST(PartitionTopology, SwapWalkBridgesDistantGate) {
     const CouplingMap map = CouplingMap::linear(4);
     PartitionOptions opt;
     opt.max_qubits = 2;
-    opt.coupling = &map;
-    const auto blocks = greedy_partition(c, opt);
+    const auto blocks = greedy_partition(c, opt, &map);
     bool swap_bridge = false;
     for (const CircuitBlock& b : blocks)
         if (b.bridge && b.body.size() == 1 &&
@@ -212,20 +210,27 @@ TEST(PartitionTopology, SwapWalkBridgesDistantGate) {
         equal_up_to_global_phase(circuit_unitary(re), circuit_unitary(c), 1e-7));
 }
 
-TEST(PartitionTopology, RejectPolicyThrowsOnInfeasibleBridge) {
-    Circuit c(4);
-    c.cx(0, 3);
-    const CouplingMap map = CouplingMap::linear(4);
-    PartitionOptions opt;
-    opt.max_qubits = 2;
-    opt.coupling = &map;
-    opt.bridge_policy = BridgePolicy::reject;
-    try {
-        greedy_partition(c, opt);
-        FAIL() << "expected std::invalid_argument";
-    } catch (const std::invalid_argument& e) {
-        EXPECT_NE(std::string(e.what()).find("bridge policy: reject"),
-                  std::string::npos);
+TEST(PartitionTopology, NoMapMeansAllToAll) {
+    // Without a map the device is the complete graph: the block list is the
+    // one over CouplingMap::full, and every bridge spans just its gate.
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        epoc::bench::RandomCircuitSpec spec;
+        spec.seed = seed;
+        spec.num_qubits = 6;
+        spec.num_gates = 40;
+        const Circuit c = epoc::bench::random_circuit(spec);
+        const CouplingMap full = CouplingMap::full(c.num_qubits());
+        const PartitionOptions opt{2, 8};
+        const auto blocks = greedy_partition(c, opt);
+        const auto over_full = greedy_partition(c, opt, &full);
+        ASSERT_EQ(blocks.size(), over_full.size()) << seed;
+        for (std::size_t i = 0; i < blocks.size(); ++i) {
+            EXPECT_EQ(blocks[i].qubits, over_full[i].qubits) << seed;
+            EXPECT_EQ(blocks[i].body.size(), over_full[i].body.size()) << seed;
+            if (!blocks[i].bridge) continue;
+            ASSERT_EQ(blocks[i].body.size(), 1u);
+            EXPECT_EQ(blocks[i].qubits.size(), blocks[i].body.gate(0).qubits.size());
+        }
     }
 }
 
@@ -237,8 +242,7 @@ TEST(PartitionTopology, AdjacentBridgeNeedsNoSwaps) {
     const CouplingMap map = CouplingMap::linear(4);
     PartitionOptions opt;
     opt.max_qubits = 2;
-    opt.coupling = &map;
-    for (const CircuitBlock& b : greedy_partition(c, opt))
+    for (const CircuitBlock& b : greedy_partition(c, opt, &map))
         for (const auto& g : b.body.gates())
             EXPECT_NE(g.kind, epoc::circuit::GateKind::SWAP);
 }

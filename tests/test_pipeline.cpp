@@ -31,7 +31,7 @@ EpocOptions cheap_options() {
 TEST(Regroup, MergesConsecutiveBlocksOnSameQubits) {
     Circuit c(2);
     for (int i = 0; i < 6; ++i) c.cx(0, 1).h(0);
-    RegroupOptions opt;
+    epoc::partition::PartitionOptions opt;
     opt.max_qubits = 2;
     opt.max_gates = 32;
     const auto blocks = regroup(c, opt);
@@ -42,7 +42,7 @@ TEST(Regroup, MergesConsecutiveBlocksOnSameQubits) {
 TEST(Regroup, RespectsGateLimit) {
     Circuit c(2);
     for (int i = 0; i < 40; ++i) c.cx(0, 1);
-    RegroupOptions opt;
+    epoc::partition::PartitionOptions opt;
     opt.max_qubits = 2;
     opt.max_gates = 8;
     for (const auto& b : regroup(c, opt)) EXPECT_LE(b.body.size(), 8u);

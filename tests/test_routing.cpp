@@ -37,6 +37,25 @@ TEST(CouplingMap, NextHopMakesProgress) {
     EXPECT_EQ(at, 4);
 }
 
+TEST(CouplingMap, PathListsTheQubitsStrictlyBetween) {
+    const CouplingMap chain = CouplingMap::linear(6);
+    EXPECT_EQ(chain.path(0, 5), (std::vector<int>{1, 2, 3, 4}));
+    EXPECT_EQ(chain.path(4, 1), (std::vector<int>{3, 2}));
+    EXPECT_TRUE(chain.path(2, 3).empty()); // adjacent
+    EXPECT_TRUE(chain.path(2, 2).empty());
+    // Every step is the next hop, so the walk ends adjacent to its target.
+    const CouplingMap grid = CouplingMap::grid(3, 3);
+    const std::vector<int> walk = grid.path(0, 8);
+    ASSERT_EQ(walk.size(), 3u); // distance 4
+    int at = 0;
+    for (const int q : walk) {
+        EXPECT_EQ(q, grid.next_hop(at, 8));
+        at = q;
+    }
+    EXPECT_TRUE(grid.adjacent(at, 8));
+    EXPECT_TRUE(CouplingMap::full(1 << 20).path(0, 12345).empty());
+}
+
 TEST(CouplingMap, BadEdgeThrows) {
     EXPECT_THROW(CouplingMap(2, {{0, 2}}), std::invalid_argument);
     EXPECT_THROW(CouplingMap(2, {{1, 1}}), std::invalid_argument);

@@ -4,6 +4,8 @@
 // meaningful under TSan).
 #include "service/daemon.h"
 
+#include "fuzz_mutate.h"
+
 #include "backend/backend.h"
 #include "bench_circuits/generators.h"
 #include "circuit/qasm.h"
@@ -17,11 +19,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -120,6 +124,89 @@ TEST(Protocol, LyingLengthFieldsAreRejected) {
     std::string retyped = encode_job_request(req);
     retyped[0] = static_cast<char>(MsgType::status_request);
     EXPECT_FALSE(decode_job_request(retyped).has_value());
+}
+
+// ----------------------------------------------------------- protocol fuzz
+//
+// Every frame decoder the daemon exposes, under 2,000 seeded mutants of a
+// valid frame (tests/fuzz_mutate.h). Each mutant goes through all three
+// decoders (a rotted type byte must not confuse them), is rejected or
+// parsed, never crashes, and a parse never holds more bytes than the mutant
+// carried. For each frame's own decoder both outcomes must occur.
+
+/// Length-field and type-byte values worth splicing into a binary frame.
+const std::string kFrameTokens("\x00\x01\x02\x03\x04\x05\x06\x7f\x80\xff", 10);
+
+/// Decode `bytes` with every decoder; returns whether `own` accepted it.
+bool decode_all(const std::string& bytes, MsgType own) {
+    const auto req = decode_job_request(bytes);
+    if (req) {
+        EXPECT_LE(req->tenant.size() + req->qasm.size() + req->backend.size(), bytes.size());
+    }
+    const auto resp = decode_job_response(bytes);
+    if (resp) {
+        EXPECT_LE(resp->detail.size(), bytes.size());
+    }
+    const auto status = decode_status_response(bytes);
+    if (status) {
+        std::size_t held = 12 * status->counters.size();
+        for (const auto& [key, value] : status->counters) held += key.size();
+        EXPECT_LE(held, bytes.size());
+    }
+    switch (own) {
+    case MsgType::job_request: return req.has_value();
+    case MsgType::job_response: return resp.has_value();
+    default: return status.has_value();
+    }
+}
+
+void fuzz_frame(const std::string& frame, MsgType own, std::uint64_t seed) {
+    std::mt19937_64 rng(seed);
+    int parsed = 0, rejected = 0;
+    for (int i = 0; i < 2000; ++i) {
+        if (decode_all(epoc::test::mutate(frame, rng, kFrameTokens), own))
+            ++parsed;
+        else
+            ++rejected;
+    }
+    EXPECT_GT(parsed, 0) << "every mutation broke the frame";
+    EXPECT_GT(rejected, 0) << "no mutation ever broke the frame";
+}
+
+TEST(ProtocolFuzz, JobRequestMutantsParseOrReject) {
+    JobRequest req;
+    req.id = 42;
+    req.tenant = "alice";
+    req.priority = 3;
+    req.deadline_ms = 250.0;
+    req.qasm = circuit::to_qasm(bench::ghz(3));
+    req.backend = "linear-5";
+    fuzz_frame(encode_job_request(req), MsgType::job_request, 0x4652414D45); // "FRAME"
+}
+
+TEST(ProtocolFuzz, JobResponseMutantsParseOrReject) {
+    JobResponse resp;
+    resp.id = 42;
+    resp.status = JobStatus::ok;
+    resp.degraded = true;
+    resp.digest = 0x0123456789abcdefULL;
+    resp.latency_ns = 1.0e9 / 3.0;
+    resp.esp = 0.97;
+    resp.compile_ms = 12.5;
+    resp.num_pulses = 7;
+    resp.blocks_total = 4;
+    resp.blocks_degraded = 1;
+    resp.detail = "pulse block 2 (2q): infeasible; fell back gate by gate";
+    fuzz_frame(encode_job_response(resp), MsgType::job_response, 0x52455350); // "RESP"
+}
+
+TEST(ProtocolFuzz, StatusResponseMutantsParseOrReject) {
+    StatusResponse s;
+    s.counters = {{"service.connections", 3},
+                  {"service.tenant.alice.completed", 41},
+                  {"service.job_tokens", 1},
+                  {"qoc.library_misses", 16}};
+    fuzz_frame(encode_status_response(s), MsgType::status_response, 0x53544154); // "STAT"
 }
 
 // --------------------------------------------------------------- admission
@@ -294,6 +381,30 @@ TEST(Daemon, CompileMatchesLibraryModeAndAnswersEveryRequest) {
 
     client.shutdown_server();
     daemon.wait(); // returns because the client requested shutdown
+    daemon.stop();
+}
+
+TEST(Daemon, LongLivedConnectionHoldsOnlyOpenJobTokens) {
+    // One client, 1,000 sequential jobs on one connection: each finished
+    // job's cancel token expires and is pruned when the next job arrives, so
+    // the connection holds at most the last job's entry, not one per job.
+    DaemonOptions opt;
+    opt.socket_path = test_socket_path();
+    opt.num_executors = 1;
+    opt.compiler = cheap_options();
+    EpocDaemon daemon(opt);
+    daemon.start();
+
+    const std::string qasm = "OPENQASM 2.0;\nqreg q[1];\nx q[0];\n";
+    EpocClient client(opt.socket_path);
+    for (int i = 0; i < 1000; ++i)
+        ASSERT_EQ(client.compile(qasm, "alice").status, JobStatus::ok) << i;
+    const StatusResponse status = client.status();
+    EXPECT_EQ(counter_value(status, "service.tenant.alice.completed"), 1000u);
+    const auto held = std::find_if(status.counters.begin(), status.counters.end(),
+                                   [](const auto& kv) { return kv.first == "service.job_tokens"; });
+    ASSERT_NE(held, status.counters.end());
+    EXPECT_LE(held->second, 1u);
     daemon.stop();
 }
 

@@ -16,6 +16,8 @@
 //     degrades to a cold store, never to a degraded compile or a torn file.
 #include "store/pulse_store.h"
 
+#include "fuzz_mutate.h"
+
 #include "bench_circuits/generators.h"
 #include "circuit/gate.h"
 #include "epoc/export.h"
@@ -33,6 +35,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <random>
 #include <thread>
 #include <vector>
 
@@ -375,6 +378,50 @@ TEST(PulseStoreUnit, HashCollisionIsMissNotPoison) {
     EXPECT_EQ(store.stats().corrupt, 0u) << "a collision is not corruption";
     EXPECT_TRUE(fs::exists(store.entry_path("key-two"))) << "not quarantined";
     EXPECT_TRUE(store.load("key-one").has_value());
+}
+
+TEST(StoreFuzz, SeededEntryMutantsParseOrReject) {
+    // 2,000 seeded mutants of one valid loose entry (tests/fuzz_mutate.h),
+    // each written over the entry's own path, then read by the ingest
+    // primitive and served through load(): rejected or parsed, never a
+    // crash, and never a key, payload or pulse bigger than the file.
+    TempDir dir;
+    PulseStoreOptions sopt;
+    sopt.dir = dir.str();
+    PulseStore store(sopt);
+    store.store("k", sample_result());
+    const fs::path p = store.entry_path("k");
+    std::string base;
+    {
+        std::ifstream in(p, std::ios::binary);
+        base.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+    }
+    ASSERT_FALSE(base.empty());
+    std::mt19937_64 rng(0x454E545259); // "ENTRY"
+    int parsed = 0, rejected = 0;
+    for (int i = 0; i < 2000; ++i) {
+        const std::string bytes =
+            epoc::test::mutate(base, rng, std::string("\x00\x01\x08\x7f\x80\xff", 6));
+        std::ofstream(p, std::ios::binary | std::ios::trunc) << bytes;
+        if (const auto entry = PulseStore::read_entry_file(p)) {
+            ++parsed;
+            EXPECT_LE(entry->key.size() + entry->payload.size(), bytes.size());
+        } else {
+            ++rejected;
+        }
+        if (const auto loaded = store.load("k")) {
+            std::size_t doubles = 0;
+            for (const auto& line : loaded->pulse.amplitudes) doubles += line.size();
+            EXPECT_LE(8 * doubles, bytes.size());
+        }
+    }
+    EXPECT_GT(parsed, 0) << "every mutation broke the entry";
+    EXPECT_GT(rejected, 0) << "no mutation ever broke the entry";
+    // The unmutated entry still round-trips after the barrage.
+    store.store("k", sample_result());
+    const auto back = store.load("k");
+    ASSERT_TRUE(back.has_value());
+    expect_result_bits_equal(sample_result(), *back);
 }
 
 TEST(PulseStoreUnit, EvictionRespectsByteBudget) {
