@@ -44,8 +44,10 @@ StrippedCircuit strip_parameters(const Circuit& c) {
     // Register width is structural: ghz-on-3 and ghz-on-4 with identical gate
     // lists must not share a plan (schedules span the whole register).
     key << "q" << c.num_qubits();
+    out.sentinel_template = c;
     std::size_t slot = 0;
-    for (const Gate& g : c.gates()) {
+    for (std::size_t gi = 0; gi < c.size(); ++gi) {
+        const Gate& g = c.gate(gi);
         key << "|" << kind_name(g.kind);
         for (std::size_t i = 0; i < g.qubits.size(); ++i)
             key << (i == 0 ? " " : ",") << g.qubits[i];
@@ -60,13 +62,13 @@ StrippedCircuit strip_parameters(const Circuit& c) {
         const int np = kind_num_params(g.kind);
         if (np <= 0) continue;
         ++out.parametric_gates;
+        std::vector<double> stamped = g.params;
         for (int p = 0; p < np; ++p) {
             key << "#" << slot;
-            out.params.push_back(p < static_cast<int>(g.params.size())
-                                     ? g.params[static_cast<std::size_t>(p)]
-                                     : 0.0);
-            ++slot;
+            out.params.push_back(stamped[static_cast<std::size_t>(p)]);
+            stamped[static_cast<std::size_t>(p)] = slot_sentinel(slot++);
         }
+        out.sentinel_template.set_gate_params(gi, std::move(stamped));
     }
     out.key = key.str();
     return out;

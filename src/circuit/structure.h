@@ -45,6 +45,10 @@ struct StrippedCircuit {
     /// circuit is angle-free and a plan cache buys nothing over the ordinary
     /// pulse-library/synthesis caches.
     std::size_t parametric_gates = 0;
+    /// The circuit with each slot's parameter replaced by its slot_sentinel():
+    /// the template a compilation plan is built from. Gates without slots
+    /// are copied unchanged.
+    Circuit sentinel_template{0};
 };
 
 /// Canonicalize `c` (see header comment for the key contract).

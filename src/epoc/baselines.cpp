@@ -16,37 +16,44 @@ using circuit::Circuit;
 using circuit::Gate;
 using circuit::GateKind;
 using linalg::Matrix;
+using linalg::is_identity_unitary;
 
-double ms_since(std::chrono::steady_clock::time_point t0) {
-    return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
-        .count();
-}
+} // namespace
 
-const qoc::BlockHamiltonian& ham_for(std::map<int, qoc::BlockHamiltonian>& cache, int nq,
-                                     const qoc::DeviceParams& dev) {
-    auto it = cache.find(nq);
-    if (it == cache.end()) it = cache.emplace(nq, qoc::make_block_hamiltonian(nq, dev)).first;
+BaselineCompiler::BaselineCompiler(const qoc::DeviceParams& device)
+    : library_(true), device_(device) {}
+
+const qoc::BlockHamiltonian& BaselineCompiler::hamiltonian(int nq) {
+    auto it = hams_.find(nq);
+    if (it == hams_.end())
+        it = hams_.emplace(nq, qoc::make_block_hamiltonian(nq, device_)).first;
     return it->second;
 }
 
-bool is_identity_unitary(const Matrix& u) {
-    return linalg::hs_fidelity(u, Matrix::identity(u.rows())) > 1.0 - 1e-10;
+EpocResult BaselineCompiler::finish(const Circuit& c, EpocResult res,
+                                    const std::vector<PulseJob>& jobs,
+                                    std::chrono::steady_clock::time_point t0) const {
+    res.depth_original = c.depth();
+    res.gates_original = c.size();
+    res.schedule = schedule_asap(jobs, c.num_qubits());
+    res.num_pulses = jobs.size();
+    res.latency_ns = res.schedule.latency;
+    res.esp = res.schedule.esp;
+    res.esp_decoherent = qoc::esp_with_decoherence(res.schedule);
+    res.compile_ms = util::ms_since(t0);
+    res.library_stats = library_.stats();
+    return res;
 }
-
-} // namespace
 
 // ---------------------------------------------------------------- gate-based
 
 GateBasedCompiler::GateBasedCompiler(qoc::DeviceParams device,
                                      qoc::LatencySearchOptions latency)
-    : device_(device), latency_(latency), library_(true) {}
+    : BaselineCompiler(device), latency_(latency) {}
 
 EpocResult GateBasedCompiler::compile(const Circuit& c) {
-    EpocResult res;
     const auto t0 = std::chrono::steady_clock::now();
-    res.depth_original = c.depth();
-    res.gates_original = c.size();
-
+    EpocResult res;
     const Circuit lowered = circuit::transpile(c, circuit::Basis::RZ_SX_CX);
     res.synthesized = lowered;
     res.synthesized_gates = lowered.size();
@@ -58,32 +65,21 @@ EpocResult GateBasedCompiler::compile(const Circuit& c) {
             jobs.push_back({g.qubits, 0.0, 1.0, "rz"});
             continue;
         }
-        const auto lr = library_.get_or_generate(
-            ham_for(hams_, g.arity(), device_), g.unitary(), latency_);
+        const auto lr = library_.get_or_generate(hamiltonian(g.arity()), g.unitary(), latency_);
         jobs.push_back({g.qubits, lr->pulse.duration(), lr->pulse.fidelity,
                         circuit::kind_name(g.kind)});
     }
-    res.schedule = schedule_asap(jobs, c.num_qubits());
-    res.num_pulses = jobs.size();
-    res.latency_ns = res.schedule.latency;
-    res.esp = res.schedule.esp;
-    res.esp_decoherent = qoc::esp_with_decoherence(res.schedule);
-    res.compile_ms = ms_since(t0);
-    res.library_stats = library_.stats();
-    return res;
+    return finish(c, std::move(res), jobs, t0);
 }
 
 // ---------------------------------------------------------------- PAQOC-like
 
 PaqocLikeCompiler::PaqocLikeCompiler(PaqocOptions opt)
-    : opt_(std::move(opt)), library_(true) {}
+    : BaselineCompiler(opt.device), opt_(std::move(opt)) {}
 
 EpocResult PaqocLikeCompiler::compile(const Circuit& c) {
-    EpocResult res;
     const auto t0 = std::chrono::steady_clock::now();
-    res.depth_original = c.depth();
-    res.gates_original = c.size();
-
+    EpocResult res;
     const std::vector<partition::CircuitBlock> blocks =
         partition::greedy_partition(c, opt_.partition);
     res.num_blocks = blocks.size();
@@ -93,31 +89,20 @@ EpocResult PaqocLikeCompiler::compile(const Circuit& c) {
         const Matrix u = partition::block_unitary(blk);
         if (is_identity_unitary(u)) continue;
         const auto lr = library_.get_or_generate(
-            ham_for(hams_, static_cast<int>(blk.qubits.size()), opt_.device), u,
-            opt_.latency);
+            hamiltonian(static_cast<int>(blk.qubits.size())), u, opt_.latency);
         jobs.push_back({blk.qubits, lr->pulse.duration(), lr->pulse.fidelity, "group"});
     }
-    res.schedule = schedule_asap(jobs, c.num_qubits());
-    res.num_pulses = jobs.size();
-    res.latency_ns = res.schedule.latency;
-    res.esp = res.schedule.esp;
-    res.esp_decoherent = qoc::esp_with_decoherence(res.schedule);
-    res.compile_ms = ms_since(t0);
-    res.library_stats = library_.stats();
-    return res;
+    return finish(c, std::move(res), jobs, t0);
 }
 
 // --------------------------------------------------------------- AccQOC-like
 
 AccqocLikeCompiler::AccqocLikeCompiler(AccqocOptions opt)
-    : opt_(std::move(opt)), library_(true) {}
+    : BaselineCompiler(opt.device), opt_(std::move(opt)) {}
 
 EpocResult AccqocLikeCompiler::compile(const Circuit& c) {
-    EpocResult res;
     const auto t0 = std::chrono::steady_clock::now();
-    res.depth_original = c.depth();
-    res.gates_original = c.size();
-
+    EpocResult res;
     partition::PartitionOptions popt;
     popt.max_qubits = 2;
     popt.max_gates = opt_.slice_gates;
@@ -135,14 +120,13 @@ EpocResult AccqocLikeCompiler::compile(const Circuit& c) {
         Matrix u = partition::block_unitary(blk);
         if (is_identity_unitary(u)) continue;
         const int nq = static_cast<int>(blk.qubits.size());
-        if (library_.peek(ham_for(hams_, nq, opt_.device), u, opt_.latency) != nullptr)
-            continue;
+        if (library_.peek(hamiltonian(nq), u, opt_.latency) != nullptr) continue;
         const std::string key = linalg::phase_canonical_key(u, 6);
         bool dup = false;
         for (const std::string& s : seen) dup = dup || s == key;
         if (dup) continue;
         seen.push_back(key);
-        pending.push_back({std::move(u), static_cast<int>(blk.qubits.size())});
+        pending.push_back({std::move(u), nq});
     }
 
     // Similarity-graph MST (AccQOC): generate pulses along the tree, warm-
@@ -176,14 +160,12 @@ EpocResult AccqocLikeCompiler::compile(const Circuit& c) {
             if (i != 0 && parent[i] != i) {
                 // Warm starts do not key the library entry, so the parent is
                 // found under the same options it was generated with.
-                const auto pp =
-                    library_.peek(ham_for(hams_, pending[parent[i]].nq, opt_.device),
-                                  pending[parent[i]].u, opt_.latency);
+                const auto pp = library_.peek(hamiltonian(pending[parent[i]].nq),
+                                              pending[parent[i]].u, opt_.latency);
                 if (pp != nullptr && pending[parent[i]].nq == pending[i].nq)
                     lopt.grape.warm_amplitudes = pp->pulse.amplitudes;
             }
-            library_.get_or_generate(ham_for(hams_, pending[i].nq, opt_.device),
-                                     pending[i].u, lopt);
+            library_.get_or_generate(hamiltonian(pending[i].nq), pending[i].u, lopt);
         }
     }
 
@@ -192,18 +174,10 @@ EpocResult AccqocLikeCompiler::compile(const Circuit& c) {
         const Matrix u = partition::block_unitary(blk);
         if (is_identity_unitary(u)) continue;
         const auto lr = library_.get_or_generate(
-            ham_for(hams_, static_cast<int>(blk.qubits.size()), opt_.device), u,
-            opt_.latency);
+            hamiltonian(static_cast<int>(blk.qubits.size())), u, opt_.latency);
         jobs.push_back({blk.qubits, lr->pulse.duration(), lr->pulse.fidelity, "slice"});
     }
-    res.schedule = schedule_asap(jobs, c.num_qubits());
-    res.num_pulses = jobs.size();
-    res.latency_ns = res.schedule.latency;
-    res.esp = res.schedule.esp;
-    res.esp_decoherent = qoc::esp_with_decoherence(res.schedule);
-    res.compile_ms = ms_since(t0);
-    res.library_stats = library_.stats();
-    return res;
+    return finish(c, std::move(res), jobs, t0);
 }
 
 } // namespace epoc::core

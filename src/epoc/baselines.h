@@ -14,20 +14,43 @@
 
 #include "epoc/pipeline.h"
 
+#include <chrono>
+#include <map>
+#include <vector>
+
 namespace epoc::core {
 
-class GateBasedCompiler {
+/// What the three comparators share: a pulse library, the device's block
+/// Hamiltonians by width, and the tail that schedules the jobs into an
+/// EpocResult.
+class BaselineCompiler {
+public:
+    qoc::PulseLibrary& library() { return library_; }
+
+protected:
+    explicit BaselineCompiler(const qoc::DeviceParams& device);
+    /// The device's `nq`-qubit block Hamiltonian, built once per width.
+    const qoc::BlockHamiltonian& hamiltonian(int nq);
+    /// `res` for circuit `c` with its schedule of `jobs`, the compile time
+    /// since `t0` and the library's stats filled in.
+    EpocResult finish(const circuit::Circuit& c, EpocResult res, const std::vector<PulseJob>& jobs,
+                      std::chrono::steady_clock::time_point t0) const;
+
+    qoc::PulseLibrary library_;
+
+private:
+    qoc::DeviceParams device_;
+    std::map<int, qoc::BlockHamiltonian> hams_;
+};
+
+class GateBasedCompiler : public BaselineCompiler {
 public:
     explicit GateBasedCompiler(qoc::DeviceParams device = {},
                                qoc::LatencySearchOptions latency = {});
     EpocResult compile(const circuit::Circuit& c);
-    qoc::PulseLibrary& library() { return library_; }
 
 private:
-    qoc::DeviceParams device_;
     qoc::LatencySearchOptions latency_;
-    qoc::PulseLibrary library_;
-    std::map<int, qoc::BlockHamiltonian> hams_;
 };
 
 struct PaqocOptions {
@@ -38,16 +61,13 @@ struct PaqocOptions {
     qoc::LatencySearchOptions latency;
 };
 
-class PaqocLikeCompiler {
+class PaqocLikeCompiler : public BaselineCompiler {
 public:
     explicit PaqocLikeCompiler(PaqocOptions opt = {});
     EpocResult compile(const circuit::Circuit& c);
-    qoc::PulseLibrary& library() { return library_; }
 
 private:
     PaqocOptions opt_;
-    qoc::PulseLibrary library_;
-    std::map<int, qoc::BlockHamiltonian> hams_;
 };
 
 struct AccqocOptions {
@@ -57,16 +77,13 @@ struct AccqocOptions {
     bool use_mst = true;
 };
 
-class AccqocLikeCompiler {
+class AccqocLikeCompiler : public BaselineCompiler {
 public:
     explicit AccqocLikeCompiler(AccqocOptions opt = {});
     EpocResult compile(const circuit::Circuit& c);
-    qoc::PulseLibrary& library() { return library_; }
 
 private:
     AccqocOptions opt_;
-    qoc::PulseLibrary library_;
-    std::map<int, qoc::BlockHamiltonian> hams_;
 };
 
 } // namespace epoc::core

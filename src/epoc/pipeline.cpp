@@ -1,8 +1,6 @@
 #include "epoc/pipeline.h"
 
 #include "circuit/decompose.h"
-#include "circuit/peephole.h"
-#include "synthesis/kak.h"
 #include "qoc/decoherence.h"
 #include "circuit/unitary.h"
 #include "linalg/phase.h"
@@ -24,25 +22,26 @@ using circuit::Circuit;
 using circuit::Gate;
 using circuit::GateKind;
 using linalg::Matrix;
+using linalg::is_identity_unitary;
+using util::ms_since;
 
-double ms_since(std::chrono::steady_clock::time_point t0) {
-    return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
-        .count();
-}
-
-bool is_identity_unitary(const Matrix& u) {
-    return linalg::hs_fidelity(u, Matrix::identity(u.rows())) > 1.0 - 1e-10;
-}
+/// What a unit of per-block work (a synthesis block, a pulse unit) carries
+/// into its loop's ordered merge.
+struct UnitOutcome {
+    explicit UnitOutcome(util::Stage stage) : status{stage, util::Cause::none, false, {}} {}
+    bool ran = false; ///< the pool ran the unit's task (false: cancelled first)
+    util::BlockStatus status;
+    verify::Outcome verify = verify::Outcome::not_checked;
+};
 
 /// Per-block synthesis outcome, computed in parallel and merged in block
 /// order so the flat circuit is identical to the sequential pass.
-struct SynthFragment {
-    bool visited = false;    ///< the block's task actually ran (vs cancelled)
-    bool skip = false;       ///< identity block: emit nothing
-    bool use_original = false; ///< bridge or synthesis loss: emit blk.body
-    Circuit local{0};        ///< otherwise: the synthesized local circuit
-    util::BlockStatus status{util::Stage::synthesis, util::Cause::none, false, {}};
-    verify::Outcome verify = verify::Outcome::not_checked;
+struct SynthFragment : UnitOutcome {
+    SynthFragment() : UnitOutcome(util::Stage::synthesis) {}
+    bool skip = false; ///< identity block: emit nothing
+    /// The synthesized local circuit; unset (bridge, synthesis loss, any
+    /// fallback) emits the block's original gates.
+    std::optional<Circuit> local;
 };
 
 /// Folds the exception being handled into `st`: the one classification
@@ -76,12 +75,21 @@ void report_stage(EpocResult& res, util::BlockStatus st,
     res.degraded = true;
 }
 
-/// report_stage() for a whole stage that threw (call only from inside a
-/// catch handler).
-void report_stage_exception(EpocResult& res, util::Stage stage, util::Tracer& tracer) {
-    util::BlockStatus st{stage, util::Cause::none, false, {}};
-    absorb_exception(st, tracer);
-    report_stage(res, std::move(st));
+/// The merge step both per-unit loops share, run in unit order: a unit the
+/// call's cancel token stopped before the pool claimed it is marked
+/// cancelled with its fallback taken, and every unit's report joins `res`.
+/// Returns whether the unit ran; one that did not ships its fallback.
+bool merge_report(EpocResult& res, std::size_t index, std::string label, UnitOutcome& unit,
+                  const char* noun) {
+    if (!unit.ran) {
+        unit.status.cause = util::Cause::cancelled;
+        unit.status.fallback_taken = true;
+        unit.status.detail = std::string("cancelled before the ") + noun + " ran";
+    }
+    res.block_reports.push_back(
+        {unit.status.stage, index, std::move(label), unit.status, unit.verify});
+    if (!unit.status.ok()) res.degraded = true;
+    return unit.ran;
 }
 
 /// A block-local gate re-addressed to the block's global qubit ids.
@@ -150,46 +158,37 @@ struct PlanDegraded : std::runtime_error {
 
 /// compile() boundary validation: structural problems are reported as a
 /// structured status up front (a bad_alloc from a negative qubit count, gates
-/// off the register). schedule_asap itself no longer throws on out-of-range
-/// qubits — it drops and counts them — but rejecting malformed input here
-/// keeps the whole pipeline from wasting a synthesis pass on it.
-util::BlockStatus validate_input(const Circuit& c) {
-    util::BlockStatus st;
-    st.stage = util::Stage::input;
-    if (c.num_qubits() < 0) {
-        st.cause = util::Cause::invalid_input;
-        st.detail = "negative qubit count";
-        return st;
-    }
-    if (c.num_qubits() == 0 && !c.empty()) {
-        st.cause = util::Cause::invalid_input;
-        st.detail = "gates on a zero-qubit register";
-        return st;
-    }
-    for (std::size_t i = 0; i < c.size(); ++i) {
-        for (const int q : c.gate(i).qubits) {
-            if (q < 0 || q >= c.num_qubits()) {
-                st.cause = util::Cause::invalid_input;
-                st.detail = "gate " + std::to_string(i) + " (" +
-                            kind_name(c.gate(i).kind) + ") addresses qubit " +
-                            std::to_string(q) + " outside register of width " +
-                            std::to_string(c.num_qubits());
-                return st;
-            }
-        }
-    }
-    return st;
+/// off the register, a circuit wider than the target backend `be` when one
+/// is given). schedule_asap itself no longer throws on out-of-range qubits —
+/// it drops and counts them — but rejecting malformed input here keeps the
+/// whole pipeline from wasting a synthesis pass on it.
+util::BlockStatus validate_input(const Circuit& c, const backend::Backend* be) {
+    const auto reject = [](std::string detail) {
+        return util::BlockStatus{util::Stage::input, util::Cause::invalid_input, false,
+                                 std::move(detail)};
+    };
+    if (c.num_qubits() < 0) return reject("negative qubit count");
+    if (c.num_qubits() == 0 && !c.empty()) return reject("gates on a zero-qubit register");
+    for (std::size_t i = 0; i < c.size(); ++i)
+        for (const int q : c.gate(i).qubits)
+            if (q < 0 || q >= c.num_qubits())
+                return reject("gate " + std::to_string(i) + " (" + kind_name(c.gate(i).kind) +
+                              ") addresses qubit " + std::to_string(q) +
+                              " outside register of width " + std::to_string(c.num_qubits()));
+    if (be != nullptr && c.num_qubits() > be->coupling.num_qubits())
+        return reject("circuit of width " + std::to_string(c.num_qubits()) + " exceeds backend '" +
+                      be->name + "' register of " + std::to_string(be->coupling.num_qubits()) +
+                      " qubits");
+    return {util::Stage::input, util::Cause::none, false, {}};
 }
 
 } // namespace
 
 /// Per-unit pulse outcome: zero jobs (identity), one job (the unit's pulse),
 /// or several (a block's gate-by-gate fallback rung).
-struct EpocCompiler::PulseFragment {
-    bool visited = false;
+struct EpocCompiler::PulseFragment : UnitOutcome {
+    PulseFragment() : UnitOutcome(util::Stage::pulse) {}
     std::vector<PulseJob> jobs;
-    util::BlockStatus status{util::Stage::pulse, util::Cause::none, false, {}};
-    verify::Outcome verify = verify::Outcome::not_checked;
     double audit_err = 0.0; ///< per-unit contribution to the error budget
 };
 
@@ -230,6 +229,76 @@ struct EpocCompiler::CompileContext {
         const util::CancelToken* token = deadline.token();
         return (token != nullptr && token->cancelled()) ? util::Cause::cancelled
                                                         : util::Cause::timeout;
+    }
+
+    /// True, with `stage` reported skipped, once the call's budget is spent.
+    bool skip_spent(util::Stage stage, EpocResult& res) {
+        if (!deadline.expired()) return false;
+        report_stage(res, {stage, expiry_cause(), true, "skipped: budget spent"});
+        trace.add_counter("robust.deadline_skips");
+        return true;
+    }
+
+    /// The whole-stage rung of the ladder (DESIGN §4g), for the ZX,
+    /// partition and regroup stages. Under the stage's span and fault site
+    /// (`zx.fail`, ...), `run()` makes the stage's artifact; `audit(artifact)`
+    /// is the stage oracle, and `use(artifact)` takes one that did not fail
+    /// it. A throw anywhere, or a failed oracle, reports the stage, counts
+    /// robust.<stage>_fallbacks and leaves the stage's input standing (`kept`
+    /// says what that means): the stage is deterministic, so a re-run would
+    /// reproduce the fault.
+    template <class Run, class Audit, class Use>
+    void guard_stage(util::Stage stage, const char* kept, EpocResult& res, const Run& run,
+                     const Audit& audit, const Use& use) {
+        const std::string name = util::stage_name(stage);
+        try {
+            util::Tracer::Span span = trace.span(name, "pipeline");
+            util::fault::maybe_throw((name + ".fail").c_str());
+            auto artifact = run();
+            span.end();
+            const verify::Outcome vo = audit(artifact);
+            if (vo != verify::Outcome::failed) {
+                use(std::move(artifact));
+                return;
+            }
+            report_stage(res,
+                         {stage, util::Cause::verify_failed, true,
+                          name + " equivalence audit failed; " + kept},
+                         vo);
+        } catch (...) {
+            util::BlockStatus st{stage, util::Cause::none, false, {}};
+            absorb_exception(st, trace);
+            report_stage(res, std::move(st));
+        }
+        trace.add_counter("robust." + name + "_fallbacks");
+    }
+
+    /// The recompute-once rung of the ladder (DESIGN §4g), for a cached
+    /// artifact: `audit()` it, and on a failure count `failures` and a
+    /// recompute, `recompute()` (which evicts exactly the rejected value
+    /// before computing afresh) and audit again. `st` then says
+    /// verify_failed and either that the `what` was recomputed, or, when the
+    /// returned outcome is still `failed`, that the caller falls a rung.
+    template <class Audit, class Recompute>
+    verify::Outcome audit_recompute_once(const char* failures, const char* what,
+                                         util::BlockStatus& st, const Audit& audit,
+                                         const Recompute& recompute) {
+        verify::Outcome vo = audit();
+        if (vo != verify::Outcome::failed) return vo;
+        trace.add_counter(failures);
+        tally.recomputes.fetch_add(1, std::memory_order_relaxed);
+        recompute();
+        vo = audit();
+        st.cause = util::Cause::verify_failed;
+        if (vo == verify::Outcome::failed) {
+            st.fallback_taken = true;
+            if (st.detail.empty())
+                st.detail =
+                    std::string(util::stage_name(st.stage)) + " audit failed after recompute";
+        } else if (st.detail.empty()) {
+            st.detail = std::string("bad ") + what + " detected; recomputed";
+        }
+        return vo;
     }
 
     const backend::Backend& be;
@@ -274,58 +343,16 @@ const qoc::BlockHamiltonian& EpocCompiler::block_hamiltonian(const backend::Back
     return it->second;
 }
 
-EpocCompiler::AuditedPulse EpocCompiler::audit_pulse_result(
-    std::shared_ptr<const qoc::LatencyResult> lr, const qoc::BlockHamiltonian& h,
-    const Matrix& target, const qoc::LatencySearchOptions& lopt, CompileContext& ctx,
-    util::BlockStatus& status) {
-    AuditedPulse out;
-    out.result = std::move(lr);
-    out.fidelity = out.result->pulse.fidelity;
-    // Only authoritative, feasible results are worth auditing (the degraded
-    // rungs already carry an honest cause), and sampled mode audits only the
-    // deterministic unitary-keyed subset.
-    if (!verifier_.enabled() || !out.result->feasible || !out.result->authoritative() ||
-        !verifier_.should_check_unitary(target))
-        return out;
-
-    double err = 0.0;
-    double resim = 0.0;
-    out.outcome = verifier_.audit_pulse(ctx.tally, h, target, *out.result, &err, &resim);
-    out.audit_err = err;
-    out.fidelity = resim;
-    if (out.outcome != verify::Outcome::failed) return out;
-
-    // Recompute-once rung: the recorded fidelity disagrees with the re-
-    // simulated physics. Evict exactly the rejected value from memory and
-    // store (compare-and-evict, so concurrent holders trigger one
-    // regeneration) and audit the honest re-run.
-    ctx.trace.add_counter("verify.pulse_audit_failures");
-    ctx.tally.recomputes.fetch_add(1, std::memory_order_relaxed);
-    const std::shared_ptr<const qoc::LatencyResult> fresh =
-        library_.regenerate(h, target, lopt, out.result, ctx.lookup);
-    out.outcome = verifier_.audit_pulse(ctx.tally, h, target, *fresh, &err, &resim);
-    out.result = fresh;
-    out.audit_err = err;
-    out.fidelity = resim;
-    status.cause = util::Cause::verify_failed;
-    if (out.outcome == verify::Outcome::failed) {
-        // Still wrong after the recompute: the caller must fall a rung, or —
-        // when no finer rung exists — ship the re-simulated fidelity instead
-        // of the proven-untrustworthy recorded one.
-        out.resolved = false;
-        status.fallback_taken = true;
-        if (status.detail.empty()) status.detail = "pulse audit failed after recompute";
-    } else {
-        if (status.detail.empty()) status.detail = "bad pulse detected; recomputed";
-    }
-    return out;
-}
-
 Circuit EpocCompiler::synthesize_blocks(const std::vector<partition::CircuitBlock>& blocks,
                                         int num_qubits, CompileContext& ctx,
                                         EpocResult& res) {
     const auto t0 = std::chrono::steady_clock::now();
     const util::Deadline& deadline = ctx.deadline;
+    // "synth block i (nq)": the block's span and report label.
+    const auto label = [&](std::size_t i) {
+        return "synth block " + std::to_string(i) + " (" +
+               std::to_string(blocks[i].qubits.size()) + "q)";
+    };
 
     std::vector<SynthFragment> fragments(blocks.size());
     pool_.parallel_for(
@@ -333,17 +360,13 @@ Circuit EpocCompiler::synthesize_blocks(const std::vector<partition::CircuitBloc
         [&](std::size_t i) {
             const partition::CircuitBlock& blk = blocks[i];
             SynthFragment& frag = fragments[i];
-            frag.visited = true;
-            const util::Tracer::Span span = ctx.trace.span(
-                "synth block " + std::to_string(i) + " (" +
-                    std::to_string(blk.qubits.size()) + "q)",
-                "synthesis");
+            frag.ran = true;
+            const util::Tracer::Span span = ctx.trace.span(label(i), "synthesis");
             try {
                 if (deadline.expired()) {
                     // Past the budget: keep the original gates without even
                     // attempting synthesis (it is an optimization, never an
                     // obligation).
-                    frag.use_original = true;
                     frag.status.cause = ctx.expiry_cause();
                     frag.status.fallback_taken = true;
                     ctx.trace.add_counter("robust.deadline_skips");
@@ -355,10 +378,8 @@ Circuit EpocCompiler::synthesize_blocks(const std::vector<partition::CircuitBloc
                 // pass through untouched.
                 if (blk.bridge && blk.body.size() == 1 &&
                     (blk.body.gate(0).kind == GateKind::CX ||
-                     blk.body.gate(0).kind == GateKind::SWAP)) {
-                    frag.use_original = true;
+                     blk.body.gate(0).kind == GateKind::SWAP))
                     return;
-                }
                 const Matrix u = partition::block_unitary(blk);
                 if (is_identity_unitary(u)) {
                     frag.skip = true;
@@ -372,51 +393,29 @@ Circuit EpocCompiler::synthesize_blocks(const std::vector<partition::CircuitBloc
                 const double synth_tol = std::max(10.0 * opt_.qsearch.threshold, 1e-8);
                 const bool audit_this =
                     verifier_.enabled() && verifier_.should_check_unitary(u);
-                // True when the audit did not fail (passed / unverified /
-                // sampled out); records the outcome on the fragment.
-                const auto audit_synth = [&]() {
-                    if (!audit_this) return true;
-                    frag.verify =
-                        verifier_.check_synthesized_block(ctx.tally, u, frag.local, synth_tol);
-                    return frag.verify != verify::Outcome::failed;
+                // The oracle's outcome for frag.local, recorded on the fragment.
+                const auto audit = [&] {
+                    if (audit_this)
+                        frag.verify = verifier_.check_synthesized_block(ctx.tally, u,
+                                                                        *frag.local, synth_tol);
+                    return frag.verify;
                 };
-                // Deterministic analytic paths (ZYZ, KAK) fall straight back
-                // to the original gates on an audit failure: re-running a
-                // deterministic decomposition would reproduce the bug.
-                const auto analytic_audit_or_fallback = [&]() {
-                    if (audit_synth()) return;
-                    frag.local = Circuit(0);
-                    frag.use_original = true;
+
+                if (blk.qubits.size() == 1) {
+                    // Single-qubit blocks synthesize exactly via ZYZ: one VUG.
+                    // The decomposition is deterministic, so an audit failure
+                    // falls straight back to the original gates: re-running
+                    // it would reproduce the bug.
+                    const circuit::Zyz e = circuit::zyz_decompose(u);
+                    frag.local.emplace(1);
+                    frag.local->u3(e.theta, e.phi, e.lambda, 0);
+                    if (audit() != verify::Outcome::failed) return;
+                    frag.local.reset();
                     frag.status.cause = util::Cause::verify_failed;
                     frag.status.fallback_taken = true;
                     frag.status.detail = "synthesis audit failed; original gates kept";
                     ctx.trace.add_counter("verify.synth_audit_failures");
                     ctx.trace.add_counter("robust.synth_fallbacks");
-                };
-
-                if (blk.qubits.size() == 1) {
-                    // Single-qubit blocks synthesize exactly via ZYZ: one VUG.
-                    const circuit::Zyz e = circuit::zyz_decompose(u);
-                    Circuit local(1);
-                    local.u3(e.theta, e.phi, e.lambda, 0);
-                    frag.local = std::move(local);
-                    analytic_audit_or_fallback();
-                    return;
-                }
-
-                if (opt_.use_kak && blk.qubits.size() == 2) {
-                    // Analytic fast path: exact, so the keep-original heuristic
-                    // below compares on entangling content via the peepholed
-                    // KAK circuit.
-                    ctx.trace.add_counter("synth.kak_fast_path");
-                    const circuit::Circuit kc =
-                        circuit::peephole_optimize(synthesis::kak_synthesize(u));
-                    if (kc.two_qubit_count() <= blk.body.two_qubit_count()) {
-                        frag.local = kc;
-                        analytic_audit_or_fallback();
-                    } else {
-                        frag.use_original = true;
-                    }
                     return;
                 }
 
@@ -489,44 +488,34 @@ Circuit EpocCompiler::synthesize_blocks(const std::vector<partition::CircuitBloc
                     frag.status.cause = ctx.expiry_cause();
                     frag.status.fallback_taken = !synth_wins;
                 }
-                if (!synth_wins) {
-                    frag.use_original = true;
-                    return;
-                }
-                frag.local = sr->circuit;
+                if (!synth_wins) return;
                 // Silent-corruption site for tests/CI: a plausible but *wrong*
                 // synthesized circuit — status says converged, distance says
                 // fine, only an independent audit can tell. Deliberately not
                 // gated on the verifier, so verify=off demonstrably ships it.
-                if (util::fault::maybe_fail("synth.badcircuit") &&
-                    frag.local.num_qubits() > 0)
-                    frag.local.x(0);
-                if (audit_synth()) return;
-                // Recompute-once rung: the cached entry may be poisoned (a
-                // collision, a stale build's result, injected corruption) —
-                // evict exactly that value and re-search before giving up.
-                ctx.trace.add_counter("verify.synth_audit_failures");
-                ctx.tally.recomputes.fetch_add(1, std::memory_order_relaxed);
-                synth_cache_.erase_if(key, sr);
-                sr = synth_cache_.get_or_compute(key, compute, cacheable);
-                frag.local = sr->circuit;
-                if (util::fault::maybe_fail("synth.badcircuit") &&
-                    frag.local.num_qubits() > 0)
-                    frag.local.x(0);
-                if (audit_synth()) {
-                    frag.status.cause = util::Cause::verify_failed;
-                    frag.status.detail = "bad synthesized circuit detected; recomputed";
-                    return;
-                }
-                frag.local = Circuit(0);
-                frag.use_original = true;
-                frag.status.cause = util::Cause::verify_failed;
-                frag.status.fallback_taken = true;
-                frag.status.detail = "synthesis audit failed after recompute";
+                const auto take = [&] {
+                    frag.local = sr->circuit;
+                    if (util::fault::maybe_fail("synth.badcircuit") &&
+                        frag.local->num_qubits() > 0)
+                        frag.local->x(0);
+                };
+                take();
+                // The cached entry may be poisoned (a collision, a stale
+                // build's result, injected corruption): evict exactly that
+                // value and re-search before giving up.
+                const verify::Outcome vo = ctx.audit_recompute_once(
+                    "verify.synth_audit_failures", "synthesized circuit", frag.status, audit,
+                    [&] {
+                        synth_cache_.erase_if(key, sr);
+                        sr = synth_cache_.get_or_compute(key, compute, cacheable);
+                        take();
+                    });
+                if (vo != verify::Outcome::failed) return;
+                frag.local.reset();
                 ctx.trace.add_counter("robust.synth_fallbacks");
             } catch (...) {
                 frag.skip = false;
-                frag.use_original = true;
+                frag.local.reset();
                 absorb_exception(frag.status, ctx.trace);
                 ctx.trace.add_counter("robust.synth_fallbacks");
             }
@@ -537,23 +526,9 @@ Circuit EpocCompiler::synthesize_blocks(const std::vector<partition::CircuitBloc
     Circuit flat(num_qubits);
     for (std::size_t i = 0; i < blocks.size(); ++i) {
         SynthFragment& frag = fragments[i];
-        if (!frag.visited) {
-            // The cancel token stopped the batch before this block was
-            // claimed: keep its original gates and say so.
-            frag.use_original = true;
-            frag.status.cause = util::Cause::cancelled;
-            frag.status.fallback_taken = true;
-            frag.status.detail = "cancelled before the block ran";
-        }
-        res.block_reports.push_back(
-            {util::Stage::synthesis, i,
-             "synth block " + std::to_string(i) + " (" +
-                 std::to_string(blocks[i].qubits.size()) + "q)",
-             frag.status, frag.verify});
-        if (!frag.status.ok()) res.degraded = true;
+        merge_report(res, i, label(i), frag, "block");
         if (frag.skip) continue;
-        flat.append_mapped(frag.use_original ? blocks[i].body : frag.local,
-                           blocks[i].qubits);
+        flat.append_mapped(frag.local ? *frag.local : blocks[i].body, blocks[i].qubits);
     }
     res.synthesis_ms += ms_since(t0);
     return flat;
@@ -647,25 +622,34 @@ void EpocCompiler::pulse_unit(const PulseUnit& unit, std::size_t index, const Wa
         // An infeasible or degraded block pulse falls a rung. A single gate
         // has no finer rung: it ships its best below-threshold pulse, flagged.
         if (blk != nullptr && !usable) return fall_back();
-        // Audit (and any verify-triggered regenerate) under the un-seeded
-        // options: the cache key is identical either way, and a recompute
-        // must not re-run a possibly-bad seed.
-        const AuditedPulse audited =
-            audit_pulse_result(std::move(lr), h, pt.target, lopt, ctx, frag.status);
-        frag.verify = combine(frag.verify, audited.outcome);
+        // Schedule audit: only a usable pulse is worth it (the degraded
+        // rungs already carry an honest cause), and sampled mode audits only
+        // the deterministic unitary-keyed subset. The audit and any recompute
+        // run under the un-seeded options: the cache key is identical either
+        // way, and a recompute must not re-run a possibly-bad seed.
+        verify::Outcome vo = verify::Outcome::not_checked;
+        double err = 0.0;   // |recorded - re-simulated| fidelity
+        double resim = 0.0; // re-simulated fidelity
+        if (verifier_.enabled() && usable && verifier_.should_check_unitary(pt.target))
+            vo = ctx.audit_recompute_once(
+                "verify.pulse_audit_failures", "pulse", frag.status,
+                [&] { return verifier_.audit_pulse(ctx.tally, h, pt.target, *lr, &err, &resim); },
+                [&] { lr = library_.regenerate(h, pt.target, lopt, lr, ctx.lookup); });
+        frag.verify = combine(frag.verify, vo);
+        const bool trusted = vo != verify::Outcome::failed;
         // A block whose audit still failed after the recompute falls a rung;
         // the rejected pulse is not shipped, so its audit error does not
         // enter the budget.
-        if (blk != nullptr && !audited.resolved) return fall_back();
-        frag.audit_err += audited.audit_err;
-        double f = audited.result->pulse.fidelity;
-        if (!audited.resolved) {
+        if (blk != nullptr && !trusted) return fall_back();
+        frag.audit_err += err;
+        double f = lr->pulse.fidelity;
+        if (!trusted) {
             // No finer rung below a single gate: ship the re-simulated
             // fidelity in place of the untrustworthy recorded one.
-            f = audited.fidelity;
+            f = resim;
             ctx.trace.add_counter("robust.untrusted_fidelity_shipped");
         }
-        frag.jobs.push_back(PulseJob{pt.qubits, audited.result->pulse.duration(), f,
+        frag.jobs.push_back(PulseJob{pt.qubits, lr->pulse.duration(), f,
                                      blk != nullptr ? "" : kind_name(unit.gate->kind)});
     } catch (...) {
         absorb_exception(frag.status, ctx.trace);
@@ -690,7 +674,7 @@ std::vector<PulseJob> EpocCompiler::pulse_arm(const std::vector<PulseUnit>& unit
     pool_.parallel_for(
         units.size(),
         [&](std::size_t i) {
-            frags[i].visited = true;
+            frags[i].ran = true;
             const util::Tracer::Span span = ctx.trace.span("pulse " + name(i), "qoc");
             pulse_unit(units[i], i, warm, ctx, frags[i]);
         },
@@ -702,23 +686,16 @@ std::vector<PulseJob> EpocCompiler::pulse_arm(const std::vector<PulseUnit>& unit
     for (std::size_t i = 0; i < units.size(); ++i) {
         const partition::CircuitBlock* blk = units[i].block;
         PulseFragment& frag = frags[i];
-        if (!frag.visited) {
-            // Cancelled before the unit was claimed: placeholder pulses keep
-            // the schedule structurally complete without doing QOC work.
-            frag.status.cause = util::Cause::cancelled;
-            frag.status.fallback_taken = true;
-            frag.status.detail = std::string("cancelled before the ") +
-                                 (blk != nullptr ? "block" : "gate") + " ran";
+        if (!merge_report(res, i, blk != nullptr ? "grouped " + name(i) : name(i), frag,
+                          blk != nullptr ? "block" : "gate")) {
+            // Placeholder pulses keep the schedule structurally complete
+            // without doing QOC work.
             if (blk == nullptr) frag.jobs.push_back(placeholder_job(*units[i].gate, ctx.be));
             else
                 for (const Gate& g : blk->body.gates())
                     frag.jobs.push_back(placeholder_job(global_gate(g, *blk), ctx.be));
             ctx.trace.add_counter("robust.placeholder_pulses", frag.jobs.size());
         }
-        res.block_reports.push_back({util::Stage::pulse, i,
-                                     blk != nullptr ? "grouped " + name(i) : name(i),
-                                     frag.status, frag.verify});
-        if (!frag.status.ok()) res.degraded = true;
         audit_err += frag.audit_err; // deterministic unit-merge order
         if (blk != nullptr && !frag.jobs.empty()) {
             const bool split = frag.jobs.size() > 1;
@@ -755,34 +732,25 @@ std::size_t EpocCompiler::pulse_stage(const Circuit& current, const CompilationP
 
     // 4. Regroup, and evaluate the grouped arm's schedule too: the shorter of
     // the two wins. On wide, shallow circuits a wide block pulse can blockade
-    // qubit lines and lose to well-packed per-gate pulses.
+    // qubit lines and lose to well-packed per-gate pulses. With no budget
+    // left for a second arm, the fine-grained one ships.
     std::size_t num_groups = 0;
-    if (opt_.regroup_enabled && ctx.deadline.expired()) {
-        // No budget left for a second arm: ship the fine-grained one.
-        report_stage(res, {util::Stage::regroup, ctx.expiry_cause(), true,
-                           "skipped: budget spent"});
-        ctx.trace.add_counter("robust.deadline_skips");
-    } else if (opt_.regroup_enabled) {
-        try {
-            util::Tracer::Span regroup_span = ctx.trace.span("regroup", "pipeline");
-            util::fault::maybe_throw("regroup.fail");
-            const std::vector<partition::CircuitBlock> groups =
-                regroup(current, opt_.regroup_opt, &ctx.be.coupling);
-            regroup_span.end();
-            num_groups = groups.size();
-            ctx.trace.add_counter("pipeline.regroup_blocks", groups.size());
-            // Stage oracle: the regrouped block-unitary product must still
-            // be the synthesized circuit. Deterministic stage, so a failed
-            // audit drops the grouped arm instead of re-running.
-            const verify::Outcome vo =
-                verifier_.check_blocks_equiv(ctx.tally, current, groups, "regroup");
-            if (vo == verify::Outcome::failed) {
-                report_stage(res,
-                             {util::Stage::regroup, util::Cause::verify_failed, true,
-                              "regroup equivalence audit failed; fine-grained arm kept"},
-                             vo);
-                ctx.trace.add_counter("robust.regroup_fallbacks");
-            } else {
+    if (opt_.regroup_enabled && !ctx.skip_spent(util::Stage::regroup, res))
+        ctx.guard_stage(
+            util::Stage::regroup, "fine-grained arm kept", res,
+            [&] {
+                std::vector<partition::CircuitBlock> groups =
+                    regroup(current, opt_.regroup_opt, &ctx.be.coupling);
+                num_groups = groups.size();
+                ctx.trace.add_counter("pipeline.regroup_blocks", groups.size());
+                return groups;
+            },
+            // The regrouped block-unitary product must still be the
+            // synthesized circuit.
+            [&](const std::vector<partition::CircuitBlock>& groups) {
+                return verifier_.check_blocks_equiv(ctx.tally, current, groups, "regroup");
+            },
+            [&](const std::vector<partition::CircuitBlock>& groups) {
                 units.clear();
                 for (const partition::CircuitBlock& blk : groups)
                     units.push_back(PulseUnit{nullptr, &blk});
@@ -799,12 +767,7 @@ std::size_t EpocCompiler::pulse_stage(const Circuit& current, const CompilationP
                     res.schedule = std::move(grouped);
                     shipped_budget = grouped_budget;
                 }
-            }
-        } catch (...) {
-            report_stage_exception(res, util::Stage::regroup, ctx.trace);
-            ctx.trace.add_counter("robust.regroup_fallbacks");
-        }
-    }
+            });
     if (res.schedule.dropped_jobs > 0) {
         // The shipped schedule refused jobs addressing out-of-register
         // qubits (schedule_asap drops instead of throwing): report it as
@@ -827,94 +790,58 @@ Circuit EpocCompiler::front_end(const Circuit& c, CompileContext& ctx, EpocResul
     // 1. Graph-based depth optimization. Failure or a spent budget keeps the
     // original circuit: ZX is a pure optimization.
     Circuit current = c;
-    {
-        const auto t0 = std::chrono::steady_clock::now();
-        if (opt_.use_zx) {
-            if (ctx.deadline.expired()) {
-                report_stage(res, {util::Stage::zx, ctx.expiry_cause(), true,
-                                   "skipped: budget spent"});
-                ctx.trace.add_counter("robust.deadline_skips");
-            } else {
-                try {
-                    const util::Tracer::Span span = ctx.trace.span("zx", "pipeline");
-                    util::fault::maybe_throw("zx.fail");
-                    zx::ZxOptimizeResult zr = zx::zx_optimize(c);
-                    // Stage oracle: the rewritten circuit must still be the
-                    // input up to global phase. ZX is deterministic, so a
-                    // failed audit keeps the original circuit outright — a
-                    // re-run would reproduce the bug.
-                    const verify::Outcome vo =
-                        verifier_.check_circuit_equiv(ctx.tally, c, zr.circuit, "zx");
-                    if (vo == verify::Outcome::failed) {
-                        report_stage(res,
-                                     {util::Stage::zx, util::Cause::verify_failed, true,
-                                      "zx equivalence audit failed; original circuit kept"},
-                                     vo);
-                        ctx.trace.add_counter("robust.zx_fallbacks");
-                    } else {
-                        current = std::move(zr.circuit);
-                    }
-                } catch (...) {
-                    report_stage_exception(res, util::Stage::zx, ctx.trace);
-                    current = c;
-                    ctx.trace.add_counter("robust.zx_fallbacks");
-                }
-            }
-        }
-        res.zx_ms = ms_since(t0);
-    }
+    const auto t0 = std::chrono::steady_clock::now();
+    if (opt_.use_zx && !ctx.skip_spent(util::Stage::zx, res))
+        ctx.guard_stage(
+            util::Stage::zx, "original circuit kept", res,
+            [&] { return zx::zx_optimize(c).circuit; },
+            // The rewritten circuit must still be the input up to global phase.
+            [&](const Circuit& out) {
+                return verifier_.check_circuit_equiv(ctx.tally, c, out, "zx");
+            },
+            [&](Circuit&& out) { current = std::move(out); });
+    res.zx_ms = ms_since(t0);
     res.depth_after_zx = current.depth();
     if (after_zx != nullptr) *after_zx = current;
 
     // 2+3. Partition and synthesize (parallel over blocks). A partitioner
     // failure skips synthesis for the whole circuit (again: an optimization).
-    if (opt_.use_synthesis) {
-        try {
-            util::Tracer::Span part_span = ctx.trace.span("partition", "pipeline");
-            util::fault::maybe_throw("partition.fail");
-            const std::vector<partition::CircuitBlock> blocks =
-                partition::greedy_partition(current, opt_.partition, &ctx.be.coupling);
-            part_span.end();
-            res.num_blocks = blocks.size();
-            // Stage oracle: the block list must reproduce the circuit it
-            // partitions. A failed audit skips synthesis entirely (the
-            // blocks are the synthesis input) and keeps `current`.
-            const verify::Outcome vo =
-                verifier_.check_blocks_equiv(ctx.tally, current, blocks, "partition");
-            if (vo == verify::Outcome::failed) {
-                report_stage(res,
-                             {util::Stage::partition, util::Cause::verify_failed, true,
-                              "partition equivalence audit failed; synthesis skipped"},
-                             vo);
-                ctx.trace.add_counter("robust.partition_fallbacks");
-            } else {
+    // Partition checks no budget: past it, each block keeps its own gates
+    // inside synthesis.
+    if (opt_.use_synthesis)
+        ctx.guard_stage(
+            util::Stage::partition, "synthesis skipped", res,
+            [&] {
+                std::vector<partition::CircuitBlock> blocks =
+                    partition::greedy_partition(current, opt_.partition, &ctx.be.coupling);
+                res.num_blocks = blocks.size();
+                return blocks;
+            },
+            // The block list must reproduce the circuit it partitions.
+            [&](const std::vector<partition::CircuitBlock>& blocks) {
+                return verifier_.check_blocks_equiv(ctx.tally, current, blocks, "partition");
+            },
+            [&](const std::vector<partition::CircuitBlock>& blocks) {
                 const util::Tracer::Span span = ctx.trace.span("synthesis", "pipeline");
                 current = synthesize_blocks(blocks, current.num_qubits(), ctx, res);
-            }
-        } catch (...) {
-            report_stage_exception(res, util::Stage::partition, ctx.trace);
-            ctx.trace.add_counter("robust.partition_fallbacks");
-        }
-    }
+            });
     return current;
 }
 
-CompilationPlan EpocCompiler::build_plan(const Circuit& c,
-                                         const circuit::StrippedCircuit& stripped,
+CompilationPlan EpocCompiler::build_plan(const circuit::StrippedCircuit& stripped,
                                          CompileContext& ctx) {
     const util::Tracer::Span span = ctx.trace.span("plan build", "pipeline");
     // Parametric gates are reuse barriers: the front end runs only over the
     // maximal parameter-free program-order segments between them, which makes
     // the skeleton angle-independent by construction. The parametric gates
-    // themselves pass through stamped with slot sentinels (circuit/structure.h),
-    // in exactly the slot order strip_parameters assigned, so the bindings
-    // recovered by scanning the finished skeleton line up with the stripped
-    // angle vector.
+    // themselves pass through as strip_parameters stamped them, with slot
+    // sentinels (circuit/structure.h), so the bindings recovered by scanning
+    // the finished skeleton line up with the stripped angle vector.
+    const Circuit& stamped = stripped.sentinel_template;
     CompilationPlan plan;
-    plan.skeleton = Circuit(c.num_qubits());
-    Circuit after_zx(c.num_qubits()); // post-ZX, pre-synthesis (depth_after_zx)
-    Circuit segment(c.num_qubits());
-    std::size_t slot = 0;
+    plan.skeleton = Circuit(stamped.num_qubits());
+    Circuit after_zx(stamped.num_qubits()); // post-ZX, pre-synthesis (depth_after_zx)
+    Circuit segment(stamped.num_qubits());
     const auto process_segment = [&] {
         if (segment.empty()) return;
         // The front end's reports are dropped: a clean build has only clean
@@ -926,29 +853,18 @@ CompilationPlan EpocCompiler::build_plan(const Circuit& c,
         after_zx.append(zx_out);
         plan.skeleton.append(synthesized);
         plan.partition_blocks += sink.num_blocks;
-        segment = Circuit(c.num_qubits());
+        segment = Circuit(stamped.num_qubits());
     };
-    for (const Gate& g : c.gates()) {
-        // Mirror strip_parameters' structural/parametric split exactly, so
-        // the sentinel slot numbering matches the stripped angle vector.
-        const bool structural_unitary = g.is_explicit_unitary() && g.matrix != nullptr;
-        const int np = circuit::kind_num_params(g.kind);
-        if (structural_unitary || np <= 0) {
+    for (const Gate& g : stamped.gates()) {
+        if (g.params.empty() || !circuit::is_slot_sentinel(g.params.front())) {
             segment.add(g);
             continue;
         }
         process_segment();
-        Gate sg = g;
-        if (sg.params.size() < static_cast<std::size_t>(np))
-            sg.params.resize(static_cast<std::size_t>(np), 0.0);
-        for (int p = 0; p < np; ++p)
-            sg.params[static_cast<std::size_t>(p)] = circuit::slot_sentinel(slot++);
-        after_zx.add(sg);
-        plan.skeleton.add(sg);
+        after_zx.add(g);
+        plan.skeleton.add(g);
     }
     process_segment();
-    if (slot != stripped.params.size())
-        throw PlanDegraded("plan build: slot count mismatch against the stripped key");
 
     plan.depth_after_zx = after_zx.depth();
     plan.bindings = circuit::scan_bindings(plan.skeleton);
@@ -971,7 +887,7 @@ std::shared_ptr<const CompilationPlan> EpocCompiler::bind_plan(const Circuit& c,
         const std::shared_ptr<const CompilationPlan> plan =
             plan_cache_.get_or_compute(key, [&] {
                 built = true;
-                return build_plan(c, stripped, ctx);
+                return build_plan(stripped, ctx);
             });
         if (built) {
             ctx.trace.add_counter("plan.misses");
@@ -1002,8 +918,14 @@ EpocResult EpocCompiler::compile(const Circuit& c, const CompileCallOptions& cal
     EpocResult res;
     res.verify.level = verifier_.options().level;
     std::shared_ptr<const backend::Backend> be_ptr = call.backend;
-    res.status = validate_input(c);
+    res.status = validate_input(c, be_ptr.get());
     res.threads_used = pool_.num_threads();
+    if (be_ptr != nullptr) res.backend_name = be_ptr->name;
+    if (!res.status.ok()) {
+        // Structured rejection: an empty result, never a deep out_of_range.
+        res.schedule.num_qubits = std::max(0, c.num_qubits());
+        return res;
+    }
     // The one place that asks whether a backend was given: a compile that
     // names none runs on an implicit all-to-all device of its width, built
     // from EpocOptions::device (O(1): the complete map is held implicitly).
@@ -1011,22 +933,9 @@ EpocResult EpocCompiler::compile(const Circuit& c, const CompileCallOptions& cal
     // registered backend shares its keys, and unlike "full-<width>" it keeps
     // the register width out of the pulse key — circuits of different
     // widths share gate pulses.
-    if (be_ptr == nullptr && res.status.ok())
+    if (be_ptr == nullptr)
         be_ptr = std::make_shared<const backend::Backend>(
             std::string(), circuit::CouplingMap::full(c.num_qubits()), opt_.device);
-    if (be_ptr != nullptr) res.backend_name = be_ptr->name;
-    if (res.status.ok() && c.num_qubits() > be_ptr->coupling.num_qubits()) {
-        res.status.stage = util::Stage::input;
-        res.status.cause = util::Cause::invalid_input;
-        res.status.detail = "circuit of width " + std::to_string(c.num_qubits()) +
-                            " exceeds backend '" + be_ptr->name + "' register of " +
-                            std::to_string(be_ptr->coupling.num_qubits()) + " qubits";
-    }
-    if (!res.status.ok()) {
-        // Structured rejection: an empty result, never a deep out_of_range.
-        res.schedule.num_qubits = std::max(0, c.num_qubits());
-        return res;
-    }
     const backend::Backend& be = *be_ptr;
     res.depth_original = c.depth();
     res.gates_original = c.size();

@@ -67,10 +67,6 @@ struct EpocOptions {
     /// Block limits for regrouping the synthesized circuit (epoc/regroup.h).
     partition::PartitionOptions regroup_opt{/*max_qubits=*/3, /*max_gates=*/32};
     synthesis::QSearchOptions qsearch;
-    /// Use the analytic KAK decomposition (synthesis/kak.h) as the synthesis
-    /// fast path for 2-qubit blocks: exact and ~1000x faster than QSearch,
-    /// at the cost of a fixed (non-searched) circuit shape.
-    bool use_kak = false;
     qoc::DeviceParams device;
     qoc::LatencySearchOptions latency;
     bool phase_aware_library = true;
@@ -318,23 +314,6 @@ public:
     util::ShardedFlightCache<CompilationPlan>& plan_cache() { return plan_cache_; }
 
 private:
-    /// One pulse result through the schedule audit, with the recompute-once
-    /// rung applied. `result` is what to ship: the original on pass /
-    /// not-checked / unverified, the regenerated one after a cured failure.
-    struct AuditedPulse {
-        std::shared_ptr<const qoc::LatencyResult> result;
-        verify::Outcome outcome = verify::Outcome::not_checked;
-        /// |recorded - re-simulated| fidelity of the shipped result.
-        double audit_err = 0.0;
-        /// Re-simulated fidelity of the shipped result (== recorded within
-        /// tolerance whenever the audit passed).
-        double fidelity = 0.0;
-        /// False when the audit still failed after the recompute: the caller
-        /// must fall a rung, or — when no finer rung exists — ship with the
-        /// re-simulated fidelity instead of the untrustworthy recorded one.
-        bool resolved = true;
-    };
-
     /// One unit of pulse work: a single gate on global qubits (every gate of
     /// the fine arm, and each gate of a block's fallback rung) or a regrouped
     /// block. Exactly one member is set.
@@ -345,10 +324,11 @@ private:
     /// A unit's jobs, status, audit outcome and audit error (pipeline.cpp).
     struct PulseFragment;
     /// Everything one compile() call owns — its backend, linked deadline,
-    /// trace, verify tally and library lookup hooks (pipeline.cpp). Built by
-    /// compile() and passed to every stage; EpocResult stays a separate
-    /// argument because a plan build runs the front end into a throwaway
-    /// result.
+    /// trace, verify tally and library lookup hooks — and the ladder rungs
+    /// that record into them: the whole-stage guard and the recompute-once
+    /// audit (pipeline.cpp). Built by compile() and passed to every stage;
+    /// EpocResult stays a separate argument because a plan build runs the
+    /// front end into a throwaway result.
     struct CompileContext;
 
     /// Device-resolved Hamiltonian for a block over physical `qubits`,
@@ -363,11 +343,12 @@ private:
     /// structurally schedulable, and impossible to mistake for a good pulse.
     PulseJob placeholder_job(const circuit::Gate& g, const backend::Backend& be) const;
     /// Pulses one unit into `frag`, taking the ladder on failure: a block
-    /// whose pulse is infeasible, degraded, errored or fails its audit falls
-    /// to its gates, pulsed by this same routine into the same fragment; a
-    /// gate that errors ships placeholder_job(). `warm` (plan path only)
-    /// seeds GRAPE from, and collects amplitudes into, slot `index`; audits
-    /// and their recomputes always run un-seeded.
+    /// whose pulse is infeasible, degraded, errored or fails its audit after
+    /// the recompute falls to its gates, pulsed by this same routine into
+    /// the same fragment; a gate that errors ships placeholder_job(), and
+    /// one whose audit still fails ships its re-simulated fidelity. `warm`
+    /// (plan path only) seeds GRAPE from, and collects amplitudes into, slot
+    /// `index`; audits and their recomputes always run un-seeded.
     void pulse_unit(const PulseUnit& unit, std::size_t index, const WarmSlots* warm,
                     CompileContext& ctx, PulseFragment& frag);
     /// One pulse arm: pulse_unit() over `units` in parallel, merged in unit
@@ -390,29 +371,18 @@ private:
     /// Returns the regroup block count (0 when regroup did not run).
     std::size_t pulse_stage(const circuit::Circuit& current, const CompilationPlan* plan,
                             CompileContext& ctx, EpocResult& res);
-    /// Build a CompilationPlan for `c` (whose structure key is
-    /// `stripped.key`): the front end over each maximal parameter-free
-    /// segment, parametric gates carried through as slot sentinels. Throws
-    /// (so the single-flight slot is erased and the compile goes cold) on
-    /// *any* degradation — only clean plans are ever cached.
-    CompilationPlan build_plan(const circuit::Circuit& c,
-                               const circuit::StrippedCircuit& stripped, CompileContext& ctx);
+    /// Build a CompilationPlan from `stripped.sentinel_template`: the front
+    /// end over each maximal parameter-free segment, the slot-sentinel gates
+    /// carried through between them. Throws (so the single-flight slot is
+    /// erased and the compile goes cold) on *any* degradation — only clean
+    /// plans are ever cached.
+    CompilationPlan build_plan(const circuit::StrippedCircuit& stripped, CompileContext& ctx);
     /// The plan path's stand-in for front_end(): strip `c`, look up (or
     /// build) its plan and bind the angles into `bound`; `hit` is false on
     /// the build. Never throws; nullptr means "run the front end".
     std::shared_ptr<const CompilationPlan> bind_plan(const circuit::Circuit& c,
                                                      CompileContext& ctx,
                                                      circuit::Circuit& bound, bool& hit);
-    /// Schedule audit for one generated pulse (feasible, authoritative,
-    /// sampled-in results only; anything else passes through unchecked):
-    /// audit, recompute once on failure via PulseLibrary::regenerate under
-    /// `lopt`, re-audit. Updates `status` with Cause::verify_failed when an
-    /// audit failure was detected (cured or not).
-    AuditedPulse audit_pulse_result(std::shared_ptr<const qoc::LatencyResult> lr,
-                                    const qoc::BlockHamiltonian& h,
-                                    const linalg::Matrix& target,
-                                    const qoc::LatencySearchOptions& lopt,
-                                    CompileContext& ctx, util::BlockStatus& status);
 
     EpocOptions opt_;
     util::Tracer tracer_; ///< the switch only; each call records its own trace

@@ -59,12 +59,6 @@ Matrix Matrix::transpose() const {
     return out;
 }
 
-Matrix Matrix::conjugate() const {
-    Matrix out(rows_, cols_);
-    for (std::size_t i = 0; i < data_.size(); ++i) out.data_[i] = std::conj(data_[i]);
-    return out;
-}
-
 cplx Matrix::trace() const {
     if (!is_square()) throw std::invalid_argument("Matrix::trace: not square");
     cplx t{0.0, 0.0};

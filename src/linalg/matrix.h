@@ -60,7 +60,6 @@ public:
     /// Conjugate transpose.
     Matrix dagger() const;
     Matrix transpose() const;
-    Matrix conjugate() const;
 
     cplx trace() const;
     double frobenius_norm() const;

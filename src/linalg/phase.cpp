@@ -27,6 +27,10 @@ bool equal_up_to_global_phase(const Matrix& a, const Matrix& b, double tol) {
     return phase_invariant_distance(a, b) <= tol;
 }
 
+bool is_identity_unitary(const Matrix& u) {
+    return hs_fidelity(u, Matrix::identity(u.rows())) > 1.0 - 1e-10;
+}
+
 Matrix canonicalize_global_phase(const Matrix& m) {
     // Pick the largest-magnitude entry as the phase reference. Ties broken by
     // index order, which is deterministic.

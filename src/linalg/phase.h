@@ -24,6 +24,10 @@ double phase_invariant_distance(const Matrix& a, const Matrix& b);
 /// True if a == e^{i phi} b for some phi, within tol on hs distance.
 bool equal_up_to_global_phase(const Matrix& a, const Matrix& b, double tol = 1e-7);
 
+/// True if `u` is the identity up to global phase (HS fidelity within 1e-10):
+/// a block or gate the compilers emit no pulse for.
+bool is_identity_unitary(const Matrix& u);
+
 /// Multiply by a global phase such that the largest-magnitude entry becomes
 /// real and positive. Canonical representative of the phase equivalence class.
 Matrix canonicalize_global_phase(const Matrix& m);

@@ -9,6 +9,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <iterator>
 #include <stdexcept>
 #include <utility>
 
@@ -32,8 +33,9 @@ std::string replay_key(const std::string& tenant, std::uint64_t id) {
 /// the writer thread owns the write side, draining a bounded outbox that
 /// executors enqueue into — an executor therefore never blocks on a peer's
 /// socket buffer. `open` flips false exactly once (disconnect or teardown);
-/// the fd is closed only at stop(), after both threads are joined, so no
-/// I/O can race a recycled descriptor.
+/// the fd is closed only after both threads are joined — when the next
+/// accept reaps the finished connection, or at stop() — so no I/O can race a
+/// recycled descriptor.
 struct EpocDaemon::Connection {
     int fd = -1;
     std::thread reader;
@@ -105,7 +107,16 @@ struct EpocDaemon::Connection {
             outbox_cv.wait_for(lock, std::chrono::milliseconds(10));
     }
 
-    void close_fd() {
+    bool is_open() {
+        std::lock_guard<std::mutex> lock(mutex);
+        return open;
+    }
+
+    /// Join both threads, then close the fd. Both threads must be on their
+    /// way out (the connection closed, or writer_exit set).
+    void reap() {
+        if (reader.joinable()) reader.join();
+        if (writer.joinable()) writer.join();
         std::lock_guard<std::mutex> lock(mutex);
         if (fd >= 0) ::close(fd);
         fd = -1;
@@ -276,9 +287,7 @@ void EpocDaemon::stop() {
             if (conn->fd >= 0) ::shutdown(conn->fd, SHUT_RDWR);
             conn->outbox_cv.notify_all();
         }
-        if (conn->reader.joinable()) conn->reader.join();
-        if (conn->writer.joinable()) conn->writer.join();
-        conn->close_fd();
+        conn->reap();
     }
     ::unlink(opt_.socket_path.c_str());
 }
@@ -306,10 +315,19 @@ void EpocDaemon::accept_loop() {
         connections_accepted_.fetch_add(1, std::memory_order_relaxed);
         auto conn = std::make_shared<Connection>();
         conn->fd = fd;
+        // Reap the connections whose clients have gone: their threads are
+        // exiting, and each holds an fd. They are joined after the lock is
+        // released — a reader may be inside status(), which takes it.
+        std::vector<std::shared_ptr<Connection>> finished;
         {
             std::lock_guard<std::mutex> lock(conns_mutex_);
+            const auto live = std::stable_partition(
+                conns_.begin(), conns_.end(), [](const auto& c) { return c->is_open(); });
+            finished.assign(std::make_move_iterator(live), std::make_move_iterator(conns_.end()));
+            conns_.erase(live, conns_.end());
             conns_.push_back(conn);
         }
+        for (const auto& done : finished) done->reap();
         conn->writer = std::thread([this, conn] { writer_loop(conn); });
         conn->reader = std::thread([this, conn] { serve_connection(conn); });
     }
@@ -686,10 +704,13 @@ StatusResponse EpocDaemon::status() const {
     put("service.drain_deadline_exceeded",
         drain_deadline_exceeded_.load(std::memory_order_relaxed));
     std::uint64_t job_tokens = 0;
+    std::uint64_t connections_open = 0;
     {
         std::lock_guard<std::mutex> lock(conns_mutex_);
+        connections_open = conns_.size();
         for (const auto& conn : conns_) job_tokens += conn->held_tokens();
     }
+    put("service.connections_open", connections_open);
     put("service.job_tokens", job_tokens);
     put("service.queued", a.queued);
     put("service.in_flight", a.in_flight);

@@ -180,6 +180,8 @@ private:
     std::thread watchdog_thread_;
     std::vector<std::thread> executors_;
     mutable std::mutex conns_mutex_;
+    /// Live connections, plus any closed since the last accept, which reaps
+    /// them; service.connections_open counts them all.
     std::vector<std::shared_ptr<Connection>> conns_;
 
     std::atomic<bool> running_{false};

@@ -9,8 +9,9 @@
 // read the canonical class off the eigenphases.
 //
 // Compared with QSearch this is exact, non-iterative and ~1000x faster, but
-// only for 2-qubit targets; the synthesizer uses it as a fast path when
-// enabled (EpocOptions::use_kak).
+// only for 2-qubit targets. The compile pipeline does not call it; its
+// interaction coefficients are a candidate lower bound on 2-qubit pulse
+// latency.
 #pragma once
 
 #include "circuit/circuit.h"

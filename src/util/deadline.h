@@ -112,4 +112,10 @@ inline bool deadline_expired(const Deadline* d) noexcept {
     return d != nullptr && d->expired();
 }
 
+/// Milliseconds elapsed on the steady clock since `t0`.
+inline double ms_since(std::chrono::steady_clock::time_point t0) {
+    return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
+        .count();
+}
+
 } // namespace epoc::util

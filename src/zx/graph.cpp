@@ -103,12 +103,6 @@ EdgeCount ZxGraph::edge(int u, int v) const {
     return it == m.end() ? EdgeCount{} : it->second;
 }
 
-int ZxGraph::degree(int v) const {
-    int d = 0;
-    for (const auto& [w, cnt] : adj_.at(static_cast<std::size_t>(v))) d += cnt.total();
-    return d;
-}
-
 void ZxGraph::fuse(int u, int v) {
     if (type(u) != type(v) || type(u) == VertexType::Boundary)
         throw std::logic_error("fuse: vertices must be same-colour spiders");

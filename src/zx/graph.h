@@ -63,7 +63,6 @@ public:
     }
     EdgeCount edge(int u, int v) const;
     bool connected(int u, int v) const { return edge(u, v).total() > 0; }
-    int degree(int v) const;
 
     /// Toggle a single Hadamard edge between two (alive) vertices; used by
     /// local complementation and pivoting.

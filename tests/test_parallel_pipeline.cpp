@@ -103,24 +103,20 @@ TEST(ParallelPipeline, BitIdenticalAcrossThreadCounts) {
     }
 }
 
-TEST(ParallelPipeline, BitIdenticalWithKakAndNoRegroup) {
-    // Exercise the other synthesis paths (KAK fast path, regroup disabled)
-    // under the same determinism contract.
+TEST(ParallelPipeline, BitIdenticalWithNoRegroup) {
+    // Exercise 2-qubit QSearch blocks with regroup disabled under the same
+    // determinism contract.
     Circuit c(3);
     c.h(0).cx(0, 1).t(1).cx(1, 2).u3(0.4, -0.2, 0.9, 2).cx(2, 0).sx(1);
-    for (const bool kak : {false, true}) {
-        EpocOptions base = cheap_options(1);
-        base.use_kak = kak;
-        base.regroup_enabled = false;
-        base.partition.max_qubits = 2;
-        EpocCompiler sequential(base);
-        const Artifact seq = artifact_of(sequential.compile(c));
-        EpocOptions popt = base;
-        popt.num_threads = 8;
-        EpocCompiler parallel(popt);
-        expect_identical(seq, artifact_of(parallel.compile(c)),
-                         kak ? "kak" : "qsearch");
-    }
+    EpocOptions base = cheap_options(1);
+    base.regroup_enabled = false;
+    base.partition.max_qubits = 2;
+    EpocCompiler sequential(base);
+    const Artifact seq = artifact_of(sequential.compile(c));
+    EpocOptions popt = base;
+    popt.num_threads = 8;
+    EpocCompiler parallel(popt);
+    expect_identical(seq, artifact_of(parallel.compile(c)), "qsearch");
 }
 
 TEST(ParallelPipeline, RepeatedCompilesStayDeterministic) {

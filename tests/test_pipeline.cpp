@@ -108,36 +108,6 @@ TEST(Pipeline, IdentityBlocksAreSkipped) {
     EXPECT_EQ(r.latency_ns, 0.0);
 }
 
-TEST(Pipeline, KakFastPathPreservesUnitary) {
-    EpocOptions opt = cheap_options();
-    opt.use_kak = true;
-    opt.partition.max_qubits = 2; // force 2-qubit blocks through the KAK path
-    EpocCompiler compiler(opt);
-    Circuit c(2);
-    c.h(0).cx(0, 1).t(1).cx(1, 0).sx(0);
-    const EpocResult r = compiler.compile(c);
-    EXPECT_TRUE(epoc::linalg::equal_up_to_global_phase(
-        epoc::circuit::circuit_unitary(r.synthesized),
-        epoc::circuit::circuit_unitary(c), 1e-5));
-    EXPECT_GT(r.latency_ns, 0.0);
-}
-
-TEST(Pipeline, KakFastPathIsFasterThanQSearch) {
-    Circuit c(4);
-    // Dense random-ish 2-qubit content: the worst case for QSearch.
-    c.u3(0.3, 1.1, -0.4, 0).u3(0.8, -0.2, 0.5, 1).cx(0, 1).u3(1.3, 0.1, 0.2, 0)
-        .cx(1, 0).u3(0.7, 0.9, -1.0, 1).cx(0, 1);
-    c.u3(0.4, -1.1, 0.6, 2).cx(2, 3).u3(0.2, 0.3, 0.9, 3).cx(3, 2);
-    EpocOptions base = cheap_options();
-    base.partition.max_qubits = 2;
-    EpocOptions kak = base;
-    kak.use_kak = true;
-    EpocCompiler slow(base), fast(kak);
-    const EpocResult rs = slow.compile(c);
-    const EpocResult rf = fast.compile(c);
-    EXPECT_LT(rf.synthesis_ms, rs.synthesis_ms + 1.0);
-}
-
 TEST(Baselines, GateBasedUsesVirtualRz) {
     Circuit c(1);
     c.rz(0.7, 0);

@@ -80,6 +80,17 @@ TEST(StructureKey, AngleChangesKeepTheKeyAndMoveTheParams) {
     EXPECT_DOUBLE_EQ(a.params[2], 0.7);
     EXPECT_DOUBLE_EQ(b.params[0], 1.1);
     EXPECT_DOUBLE_EQ(b.params[1], -0.2);
+    // The sentinel template stamps each slot with its sentinel, so both angle
+    // sets share it, and binding the angles back restores the circuit.
+    ASSERT_EQ(a.sentinel_template.size(), 5u);
+    EXPECT_TRUE(a.sentinel_template.gate(0).params.empty());
+    EXPECT_EQ(a.sentinel_template.gate(2).params[0], epoc::circuit::slot_sentinel(0));
+    EXPECT_EQ(a.sentinel_template.gate(4).params[0], epoc::circuit::slot_sentinel(2));
+    Circuit bound = b.sentinel_template;
+    epoc::circuit::bind_parameters(bound, epoc::circuit::scan_bindings(bound), a.params);
+    const Circuit want = qaoa2(0.3, 0.7);
+    for (std::size_t i = 0; i < want.size(); ++i)
+        EXPECT_EQ(bound.gate(i).params, want.gate(i).params) << i;
 }
 
 TEST(StructureKey, EveryStructuralEditChangesTheKey) {

@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -72,6 +73,25 @@ std::vector<std::string> jobs(const EpocResult& r) {
         if (p.job.fidelity == 0.0) s += " placeholder";
         out.push_back(std::move(s));
     }
+    return out;
+}
+
+/// "label: detail" for every report that carries a detail.
+std::vector<std::string> details(const EpocResult& r) {
+    std::vector<std::string> out;
+    for (const BlockReport& br : r.block_reports)
+        if (!br.status.detail.empty()) out.push_back(br.label + ": " + br.status.detail);
+    return out;
+}
+
+/// "name=value" for every robust.* and verify.* counter of a traced compile,
+/// in name order.
+std::vector<std::string> ladder_counters(const EpocResult& r) {
+    std::vector<std::string> out;
+    for (const auto& [name, value] : r.trace.counters)
+        if (name.rfind("robust.", 0) == 0 || name.rfind("verify.", 0) == 0)
+            out.push_back(name + "=" + std::to_string(value));
+    std::sort(out.begin(), out.end());
     return out;
 }
 
@@ -297,6 +317,209 @@ TEST(PulseStageCharacterization, GatePulseFaultOnLinear5) {
         "pulse 4 [gate 4 (cx)] injected fallback verify=not_checked",
         "pulse 0 [grouped block 0 (3q)] none verify=not_checked",
     }, "reports");
+}
+
+// The recompute-once rung of synthesis. A generic SU(4) element written with
+// 4 CNOTs, kept whole (no ZX, 2-qubit blocks): QSearch finds a shorter
+// realisation, so the synthesized circuit replaces the block and passes the
+// corruption site on its way to the audit.
+EpocOptions synthesis_audit_options() {
+    EpocOptions opt = options();
+    opt.verify_level = verify::VerifyLevel::full;
+    opt.trace_enabled = true;
+    opt.use_zx = false;
+    opt.partition.max_qubits = 2;
+    opt.qsearch.instantiate.restarts = 4;
+    return opt;
+}
+
+Circuit four_cnot_su4() {
+    Circuit c(2);
+    c.cx(0, 1).rz(0.3, 1).cx(0, 1).ry(0.5, 0).cx(1, 0).rx(0.7, 1).cx(0, 1);
+    return c;
+}
+
+TEST(PulseStageCharacterization, SynthesisAuditCured) {
+    const FaultGuard g("synth.badcircuit=1");
+    EpocCompiler compiler(synthesis_audit_options());
+    const EpocResult r = compiler.compile(four_cnot_su4());
+    expect_table(reports(r), {
+        "synthesis 0 [synth block 0 (2q)] verify_failed verify=passed",
+        "pulse 0 [gate 0 (u3)] none verify=passed",
+        "pulse 1 [gate 1 (u3)] none verify=passed",
+        "pulse 2 [gate 2 (cx)] none verify=passed",
+        "pulse 3 [gate 3 (u3)] none verify=passed",
+        "pulse 4 [gate 4 (u3)] none verify=passed",
+        "pulse 5 [gate 5 (cx)] none verify=passed",
+        "pulse 6 [gate 6 (u3)] none verify=passed",
+        "pulse 7 [gate 7 (u3)] none verify=passed",
+        "pulse 0 [grouped block 0 (2q)] none verify=passed",
+    }, "reports");
+    expect_table(details(r), {
+        "synth block 0 (2q): bad synthesized circuit detected; recomputed",
+    }, "details");
+    expect_table(ladder_counters(r), {
+        "robust.degraded_compiles=1",
+        "verify.checks=13",
+        "verify.failed=1",
+        "verify.pack_revalidations=0",
+        "verify.passed=12",
+        "verify.recomputes=1",
+        "verify.revalidate_rejects=0",
+        "verify.revalidations=0",
+        "verify.skipped=0",
+        "verify.synth_audit_failures=1",
+        "verify.unverified=0",
+    }, "counters");
+}
+
+TEST(PulseStageCharacterization, SynthesisAuditUnresolved) {
+    const FaultGuard g("synth.badcircuit=*");
+    EpocCompiler compiler(synthesis_audit_options());
+    const EpocResult r = compiler.compile(four_cnot_su4());
+    expect_table(reports(r), {
+        "synthesis 0 [synth block 0 (2q)] verify_failed fallback verify=failed",
+        "pulse 0 [gate 0 (cx)] none verify=passed",
+        "pulse 1 [gate 1 (rz)] none verify=passed",
+        "pulse 2 [gate 2 (cx)] none verify=passed",
+        "pulse 3 [gate 3 (ry)] none verify=passed",
+        "pulse 4 [gate 4 (cx)] none verify=passed",
+        "pulse 5 [gate 5 (rx)] none verify=passed",
+        "pulse 6 [gate 6 (cx)] none verify=passed",
+        "pulse 0 [grouped block 0 (2q)] none verify=passed",
+    }, "reports");
+    expect_table(details(r), {
+        "synth block 0 (2q): synthesis audit failed after recompute",
+    }, "details");
+    expect_table(ladder_counters(r), {
+        "robust.degraded_compiles=1",
+        "robust.synth_fallbacks=1",
+        "verify.checks=12",
+        "verify.failed=2",
+        "verify.pack_revalidations=0",
+        "verify.passed=10",
+        "verify.recomputes=1",
+        "verify.revalidate_rejects=0",
+        "verify.revalidations=0",
+        "verify.skipped=0",
+        "verify.synth_audit_failures=1",
+        "verify.unverified=0",
+    }, "counters");
+}
+
+TEST(PulseStageCharacterization, PulseAuditUnresolved) {
+    // Every generated pulse records a wrong fidelity, the recompute too: the
+    // block falls to its gates, and the gates, which have no finer rung,
+    // ship their re-simulated fidelity.
+    const FaultGuard g("latency.badpulse=*");
+    EpocOptions opt = options();
+    opt.verify_level = verify::VerifyLevel::full;
+    opt.trace_enabled = true;
+    EpocCompiler compiler(opt);
+    const EpocResult r = compiler.compile(bench::ghz(3));
+    expect_table(reports(r), {
+        "synthesis 0 [synth block 0 (3q)] none verify=not_checked",
+        "pulse 0 [gate 0 (h)] verify_failed fallback verify=failed",
+        "pulse 1 [gate 1 (cx)] verify_failed fallback verify=failed",
+        "pulse 2 [gate 2 (cx)] verify_failed fallback verify=failed",
+        "pulse 0 [grouped block 0 (3q)] verify_failed fallback verify=failed",
+    }, "reports");
+    expect_table(jobs(r), {
+        "block0.g0 q=0 placeholder",
+        "block0.g1 q=0,1",
+        "block0.g2 q=1,2",
+    }, "jobs");
+    expect_table(details(r), {
+        "gate 0 (h): pulse audit failed after recompute",
+        "gate 1 (cx): pulse audit failed after recompute",
+        "gate 2 (cx): pulse audit failed after recompute",
+        "grouped block 0 (3q): pulse audit failed after recompute",
+    }, "details");
+    expect_table(ladder_counters(r), {
+        "robust.degraded_compiles=1",
+        "robust.pulse_block_fallbacks=1",
+        "robust.untrusted_fidelity_shipped=6",
+        "verify.checks=17",
+        "verify.failed=14",
+        "verify.pack_revalidations=0",
+        "verify.passed=3",
+        "verify.pulse_audit_failures=7",
+        "verify.recomputes=7",
+        "verify.revalidate_rejects=0",
+        "verify.revalidations=0",
+        "verify.skipped=0",
+        "verify.unverified=0",
+    }, "counters");
+}
+
+EpocOptions traced_options() {
+    EpocOptions opt = options();
+    opt.trace_enabled = true;
+    return opt;
+}
+
+TEST(PulseStageCharacterization, ZxFaultAccounting) {
+    const FaultGuard g("zx.fail=*");
+    EpocCompiler compiler(traced_options());
+    const EpocResult r = compiler.compile(bench::qft(3));
+    expect_table(details(r), {
+        "zx: injected fault at site 'zx.fail'",
+    }, "details");
+    expect_table(ladder_counters(r), {
+        "robust.degraded_compiles=1",
+        "robust.injected_faults=1",
+        "robust.zx_fallbacks=1",
+    }, "counters");
+}
+
+TEST(PulseStageCharacterization, PartitionFaultAccounting) {
+    const FaultGuard g("partition.fail=*");
+    EpocCompiler compiler(traced_options());
+    const EpocResult r = compiler.compile(bench::qft(3));
+    expect_table(details(r), {
+        "partition: injected fault at site 'partition.fail'",
+    }, "details");
+    expect_table(ladder_counters(r), {
+        "robust.degraded_compiles=1",
+        "robust.injected_faults=1",
+        "robust.partition_fallbacks=1",
+    }, "counters");
+}
+
+TEST(PulseStageCharacterization, RegroupFaultAccounting) {
+    const FaultGuard g("regroup.fail=*");
+    EpocCompiler compiler(traced_options());
+    const EpocResult r = compiler.compile(bench::qft(3));
+    expect_table(details(r), {
+        "regroup: injected fault at site 'regroup.fail'",
+    }, "details");
+    expect_table(ladder_counters(r), {
+        "robust.degraded_compiles=1",
+        "robust.injected_faults=1",
+        "robust.regroup_fallbacks=1",
+    }, "counters");
+}
+
+TEST(PulseStageCharacterization, PreCancelledTokenAccounting) {
+    util::CancelToken token;
+    token.cancel();
+    CompileCallOptions call;
+    call.cancel = &token;
+    EpocCompiler compiler(traced_options());
+    const EpocResult r = compiler.compile(bench::ghz(3), call);
+    expect_table(details(r), {
+        "zx: skipped: budget spent",
+        "synth block 0 (3q): cancelled before the block ran",
+        "gate 0 (h): cancelled before the gate ran",
+        "gate 1 (cx): cancelled before the gate ran",
+        "gate 2 (cx): cancelled before the gate ran",
+        "regroup: skipped: budget spent",
+    }, "details");
+    expect_table(ladder_counters(r), {
+        "robust.deadline_skips=2",
+        "robust.degraded_compiles=1",
+        "robust.placeholder_pulses=3",
+    }, "counters");
 }
 
 } // namespace

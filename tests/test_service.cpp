@@ -24,6 +24,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
 #include <memory>
 #include <random>
 #include <string>
@@ -405,6 +406,42 @@ TEST(Daemon, LongLivedConnectionHoldsOnlyOpenJobTokens) {
                                    [](const auto& kv) { return kv.first == "service.job_tokens"; });
     ASSERT_NE(held, status.counters.end());
     EXPECT_LE(held->second, 1u);
+    daemon.stop();
+}
+
+std::size_t open_fds() {
+    std::size_t n = 0;
+    for (const auto& entry : std::filesystem::directory_iterator("/proc/self/fd")) {
+        (void)entry;
+        ++n;
+    }
+    return n;
+}
+
+TEST(Daemon, FinishedConnectionsAreReaped) {
+    // 100 short-lived clients, one after another: each finished connection
+    // is reaped (threads joined, fd closed) when a later client is accepted,
+    // so the daemon holds only live clients plus at most the one that
+    // closed last, not one fd and two threads per client ever served.
+    DaemonOptions opt;
+    opt.socket_path = test_socket_path();
+    opt.num_executors = 1;
+    opt.compiler = cheap_options();
+    EpocDaemon daemon(opt);
+    daemon.start();
+
+    const std::size_t fds_before = open_fds();
+    for (int i = 0; i < 100; ++i) {
+        EpocClient client(opt.socket_path);
+        ASSERT_EQ(counter_value(client.status(), "service.connections"),
+                  static_cast<std::uint64_t>(i + 1));
+    }
+    EpocClient fresh(opt.socket_path);
+    const std::uint64_t open = counter_value(fresh.status(), "service.connections_open");
+    EXPECT_GE(open, 1u); // the fresh client itself
+    EXPECT_LE(open, 2u);
+    // The fresh client's two ends, plus at most one connection not yet reaped.
+    EXPECT_LE(open_fds(), fds_before + 3);
     daemon.stop();
 }
 

@@ -276,7 +276,6 @@ TEST(PipelineTrace, CoarseArmReflectsCoarseningAfterFineArm) {
     // of its granularity.
     EpocOptions opt = traced_options();
     opt.use_zx = false;
-    opt.use_kak = true; // analytic 2q synthesis: keeps the test fast
     opt.partition.max_qubits = 2;
     opt.regroup_opt.max_qubits = 4; // wide regrouped blocks -> granularity 4
     opt.regroup_opt.max_gates = 64;

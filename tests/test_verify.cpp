@@ -405,7 +405,6 @@ TEST(VerifyPipeline, InjectedBadSynthesisFallsBackViaVerifyFailed) {
     // the synthesis oracle must catch it, recompute, and (as the recompute
     // path re-fires the site with `=*`) fall back to the original gates.
     EpocOptions opt = cheap_options(1, VerifyLevel::full);
-    opt.use_kak = false; // 2q blocks go through QSearch, where the site lives
     opt.use_zx = false;  // keep the 4-CNOT block intact so synthesis must win
     opt.partition.max_qubits = 2;
     opt.qsearch.instantiate.restarts = 4;
