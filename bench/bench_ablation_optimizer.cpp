@@ -6,21 +6,14 @@
 #include "circuit/unitary.h"
 #include "qoc/crab.h"
 #include "qoc/grape.h"
+#include "util/deadline.h"
 
 #include <chrono>
 #include <cstdio>
 
-namespace {
-
-double ms_since(std::chrono::steady_clock::time_point t0) {
-    return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
-        .count();
-}
-
-} // namespace
-
 int main() {
     using namespace epoc;
+    using util::ms_since;
     std::printf("Ablation: GRAPE vs CRAB at equal slot budget (target fidelity 0.999)\n\n");
     std::printf("%-14s %6s | %10s %10s | %10s %10s\n", "target", "slots", "grape-fid",
                 "grape-ms", "crab-fid", "crab-ms");

@@ -321,7 +321,6 @@ EpocCompiler::EpocCompiler(EpocOptions opt)
     if (!store_dir.empty()) {
         store::PulseStoreOptions sopt;
         sopt.dir = store_dir;
-        sopt.max_bytes = opt_.pulse_store_max_bytes;
         sopt.pack_dirs = opt_.pulse_pack_dirs;
         if (sopt.pack_dirs.empty())
             sopt.pack_dirs = store::PulseStore::pack_dirs_from_env();

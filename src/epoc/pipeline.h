@@ -88,9 +88,6 @@ struct EpocOptions {
     /// when empty the EPOC_PULSE_STORE environment variable is consulted
     /// instead (an explicitly set option always wins over the env).
     std::string pulse_store_dir;
-    /// Byte budget for the store directory (LRU-by-mtime compaction keeps it
-    /// under this); <= 0 disables compaction. Ignored when no store is set.
-    std::uint64_t pulse_store_max_bytes = 256ull << 20;
     /// Read-only shared pack directories (store/pack.h) layered behind the
     /// local store tier: each holds immutable `*.pack` segments (shipped warm
     /// libraries) probed on a local miss, so a fresh machine cold-starts at

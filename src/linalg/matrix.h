@@ -78,6 +78,18 @@ private:
     std::vector<cplx> data_;
 };
 
+/// tr(A^dagger B) for same-shape matrices, summed in storage order. Inline
+/// because GRAPE's gradient and synthesis instantiation call it in their
+/// inner loops.
+inline cplx overlap(const Matrix& a, const Matrix& b) {
+    cplx w{0.0, 0.0};
+    const std::size_t n = a.rows() * a.cols();
+    const cplx* pa = a.data();
+    const cplx* pb = b.data();
+    for (std::size_t i = 0; i < n; ++i) w += std::conj(pa[i]) * pb[i];
+    return w;
+}
+
 Matrix operator+(Matrix lhs, const Matrix& rhs);
 Matrix operator-(Matrix lhs, const Matrix& rhs);
 Matrix operator*(const Matrix& lhs, const Matrix& rhs);

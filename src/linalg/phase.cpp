@@ -10,12 +10,7 @@ namespace epoc::linalg {
 double hs_fidelity(const Matrix& a, const Matrix& b) {
     if (a.rows() != b.rows() || a.cols() != b.cols())
         throw std::invalid_argument("hs_fidelity: shape mismatch");
-    cplx overlap{0.0, 0.0};
-    const std::size_t n = a.rows() * a.cols();
-    const cplx* pa = a.data();
-    const cplx* pb = b.data();
-    for (std::size_t i = 0; i < n; ++i) overlap += std::conj(pa[i]) * pb[i];
-    return std::abs(overlap) / static_cast<double>(a.rows());
+    return std::abs(overlap(a, b)) / static_cast<double>(a.rows());
 }
 
 double phase_invariant_distance(const Matrix& a, const Matrix& b) {

@@ -1,5 +1,7 @@
 #include "service/client.h"
 
+#include "util/fault_injection.h"
+
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
@@ -14,13 +16,6 @@
 namespace epoc::service {
 
 namespace {
-
-std::uint64_t splitmix64(std::uint64_t x) {
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-}
 
 /// Ids must stay unique across every client a tenant ever runs: the daemon's
 /// replay table is keyed by (tenant, id), so a collision would hand one
@@ -88,7 +83,7 @@ void EpocClient::handle_connection_loss(const char* context) {
     for (int attempt = 0; attempt < std::max(1, opt_.max_reconnects); ++attempt) {
         if (attempt > 0) {
             const double jitter = static_cast<double>(
-                splitmix64(++jitter_state_) % 1024) / 1024.0;
+                util::splitmix64(++jitter_state_) % 1024) / 1024.0;
             const double sleep_ms = backoff * (1.0 + 0.5 * jitter);
             std::this_thread::sleep_for(
                 std::chrono::duration<double, std::milli>(sleep_ms));

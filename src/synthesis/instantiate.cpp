@@ -14,16 +14,7 @@ namespace {
 
 using circuit::GateKind;
 using linalg::cplx;
-
-/// tr(A^dag B) for same-shape matrices.
-cplx overlap(const Matrix& a, const Matrix& b) {
-    cplx w{0.0, 0.0};
-    const std::size_t n = a.rows() * a.cols();
-    const cplx* pa = a.data();
-    const cplx* pb = b.data();
-    for (std::size_t i = 0; i < n; ++i) w += std::conj(pa[i]) * pb[i];
-    return w;
-}
+using linalg::overlap;
 
 } // namespace
 

@@ -37,13 +37,6 @@ Registry& registry() {
     return r;
 }
 
-std::uint64_t splitmix64(std::uint64_t x) {
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-}
-
 Trigger parse_trigger(const std::string& spec, const std::string& s) {
     const auto bad = [&] {
         throw std::invalid_argument("fault::configure: bad trigger '" + s + "' in spec '" +

@@ -30,8 +30,25 @@
 
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
+
+namespace epoc::util {
+
+/// SplitMix64's finalizer: a well-mixed 64-bit hash, so a modulus of it is
+/// uniform even over structured inputs (arrival ordinals, sequential block
+/// indices, FNV digests of similar keys). It drives the %K@S trigger,
+/// sampled verification's selection and the service client's reconnect
+/// jitter; changing it changes which arrivals, blocks and delays they pick.
+inline std::uint64_t splitmix64(std::uint64_t x) {
+    x += 0x9e3779b97f4a7c15ULL;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+    return x ^ (x >> 31);
+}
+
+} // namespace epoc::util
 
 namespace epoc::util::fault {
 

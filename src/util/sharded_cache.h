@@ -193,18 +193,6 @@ public:
         }
     }
 
-    /// Drop the entry under `key` so the next lookup recomputes. Safe against
-    /// an in-flight generation: the leader's slot is merely orphaned — it
-    /// still completes, hands its value to itself and its waiters, and its
-    /// own eviction/erase paths compare slot identity before touching the
-    /// table. Used by the verify layer to force a recompute after an audit
-    /// rejects a cached value.
-    void erase(const std::string& key) {
-        Shard& shard = shard_of(key);
-        std::lock_guard<std::mutex> lock(shard.mutex);
-        shard.table.erase(key);
-    }
-
     /// Compare-and-evict: drop the entry only if it currently holds exactly
     /// `expected` (a completed value). Returns true when the erase happened.
     /// Of N threads that observed one bad value, exactly one wins the erase —

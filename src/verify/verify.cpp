@@ -16,16 +16,6 @@ namespace epoc::verify {
 
 namespace {
 
-// Same finalizer the fault-injection %K@S trigger uses: a well-mixed 64-bit
-// hash so sampling is uniform even over structured ids (sequential block
-// indices, FNV digests of similar keys).
-std::uint64_t splitmix64(std::uint64_t x) {
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-}
-
 void update_max(std::atomic<double>& slot, double v) {
     double cur = slot.load(std::memory_order_relaxed);
     while (v > cur &&
@@ -38,10 +28,7 @@ void update_max(std::atomic<double>& slot, double v) {
 // the cross-check must be invariant under arbitrary scalars, not just unit
 // phases — hs_fidelity is not enough here.
 double cosine_similarity(const linalg::Matrix& a, const linalg::Matrix& b) {
-    linalg::cplx tr{0.0, 0.0};
-    for (std::size_t r = 0; r < a.rows(); ++r)
-        for (std::size_t c = 0; c < a.cols(); ++c)
-            tr += std::conj(a(r, c)) * b(r, c);
+    const linalg::cplx tr = linalg::overlap(a, b);
     const double na = a.frobenius_norm(), nb = b.frobenius_norm();
     if (na <= 0.0 || nb <= 0.0) return 0.0;
     return std::abs(tr) / (na * nb);
@@ -145,7 +132,7 @@ Verifier::Verifier(VerifyOptions opt) : opt_(opt) {
 bool Verifier::should_check(std::uint64_t stable_id) const {
     if (!enabled()) return false;
     if (full() || opt_.sample_period <= 1) return true;
-    return splitmix64(opt_.sample_seed ^ stable_id) %
+    return util::splitmix64(opt_.sample_seed ^ stable_id) %
                static_cast<std::uint64_t>(opt_.sample_period) ==
            0;
 }

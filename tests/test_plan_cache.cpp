@@ -9,6 +9,7 @@
 #include "epoc/pipeline.h"
 #include "qoc/pulse_io.h"
 #include "util/fault_injection.h"
+#include "util/trace.h"
 
 #include "bench_circuits/generators.h"
 
@@ -157,6 +158,7 @@ TEST(StructureKey, ScanAndBindRecoverTheOriginalAngles) {
 TEST(PlanCache, SecondCompileOfAStructureIsAPlanHit) {
     EpocOptions opt = cheap_options();
     opt.plan_cache = true;
+    opt.trace_enabled = true;
     EpocCompiler compiler(opt);
 
     const EpocResult first = compiler.compile(qaoa2(0.4, 0.9));
@@ -169,6 +171,17 @@ TEST(PlanCache, SecondCompileOfAStructureIsAPlanHit) {
     EXPECT_GT(second.plan_blocks_reused, 0u);
     EXPECT_FALSE(second.degraded);
     EXPECT_GT(second.esp, 0.9);
+
+    // What a hit saves, by span rather than by clock: the build runs the
+    // front end, and the hit runs none of it and no synthesis search.
+    for (const char* stage : {"zx", "partition", "synthesis"}) {
+        EXPECT_TRUE(first.trace.has_span(stage)) << stage;
+        EXPECT_FALSE(second.trace.has_span(stage)) << stage;
+    }
+    for (const epoc::util::TraceEvent& ev : second.trace.spans) {
+        EXPECT_NE(ev.name.rfind("qsearch ", 0), 0u) << ev.name;
+        EXPECT_NE(ev.name.rfind("leap ", 0), 0u) << ev.name;
+    }
 
     // A structural edit misses: new build, no false sharing.
     Circuit other = qaoa2(1.3, -0.6);
