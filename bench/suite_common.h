@@ -3,9 +3,10 @@
 // report rows. Each figure binary prints its own column of the same sweep.
 //
 // Passing `--trace <file>` to a figure binary (forwarded here through
-// `trace_arg`) enables the tracer on both compiler arms and writes Chrome
-// trace_event JSON covering the whole sweep: the grouped arm to <file>, the
-// no-grouping arm to <file>.nogroup.json.
+// `trace_arg`) enables the tracer on both compiler arms and writes one pair
+// of Chrome trace_event JSON files per circuit, since each compile carries
+// its own trace: the grouped arm to <file>.<circuit>.json, the no-grouping
+// arm to <file>.<circuit>.nogroup.json.
 #pragma once
 
 #include "bench_circuits/generators.h"
@@ -57,8 +58,8 @@ inline std::vector<SuiteRow> run_grouping_suite(const std::string& trace_path = 
     const bool trace = !trace_path.empty();
     std::vector<SuiteRow> rows;
     // One compiler per arm: pulse libraries persist across circuits, exactly
-    // like the paper's reusable pulse database. Traces accumulate the same
-    // way, so the last row's report covers the whole sweep.
+    // like the paper's reusable pulse database. Traces do not: each compile's
+    // trace covers that call alone, so each circuit writes its own pair.
     core::EpocCompiler grouped(suite_options(true, trace));
     core::EpocCompiler ungrouped(suite_options(false, trace));
     for (const auto& [name, circuit] : bench::figure_suite()) {
@@ -68,11 +69,11 @@ inline std::vector<SuiteRow> run_grouping_suite(const std::string& trace_path = 
         row.grouped = grouped.compile(circuit);
         std::fprintf(stderr, "  compiling %-10s (no grouping)...\n", name.c_str());
         row.ungrouped = ungrouped.compile(circuit);
+        if (trace) {
+            write_trace(row.grouped, trace_path + "." + name + ".json");
+            write_trace(row.ungrouped, trace_path + "." + name + ".nogroup.json");
+        }
         rows.push_back(std::move(row));
-    }
-    if (trace && !rows.empty()) {
-        write_trace(rows.back().grouped, trace_path);
-        write_trace(rows.back().ungrouped, trace_path + ".nogroup.json");
     }
     return rows;
 }

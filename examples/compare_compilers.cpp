@@ -29,8 +29,10 @@
 //   QAOA angle sweep compiled incrementally through the plan cache. Prints
 //   grep-friendly `sweep-*` lines — plan hits on every iteration after the
 //   first, bit-identical schedules vs per-iteration fresh cold compiles
-//   (warm start off), and the warm-vs-cold total GRAPE iteration counts —
-//   the assertions the CI variational job scripts against.
+//   (warm start off), and the warm and cold sums of the `qoc.grape_iterations`
+//   counter (each shipped pulse's best-iterate index, not the optimizer's
+//   total iterations; see qoc::Pulse) — the assertions the CI variational
+//   job scripts against.
 //   --backend NAME targets a hardware backend from the built-in registry
 //   (linear-5, ring-8, grid-3x3, heavy-hex-7, full-N): the EPOC compile
 //   becomes topology-aware — partitions respect the coupling map, bridging
@@ -93,8 +95,9 @@ int run_sweep() {
                         last_digest == qoc::fnv1a64(core::schedule_to_json(cold.schedule));
     }
 
-    // Warm-vs-cold GRAPE work for the same sweep: each compile's trace holds
-    // its own counters, so the run's total is their sum.
+    // Warm-vs-cold `qoc.grape_iterations` for the same sweep (best-iterate
+    // indices of the shipped pulses, not every iteration run): each
+    // compile's trace holds its own counters, so the run's total is their sum.
     std::uint64_t grape_iters[2] = {0, 0};
     for (const bool warm : {false, true}) {
         core::EpocOptions wopt = base;

@@ -432,9 +432,9 @@ Circuit EpocCompiler::synthesize_blocks(const std::vector<partition::CircuitBloc
                             key += std::to_string(a) + "_" + std::to_string(b) + ",";
                         }
                 const auto compute = [&] {
-                    // Single-flight: exactly one QSearch/LEAP run per
-                    // distinct unitary, so these counters match the
-                    // sequential schedule for every thread count.
+                    // Single-flight: exactly one QSearch run per distinct
+                    // unitary, so these counters match the sequential
+                    // schedule for every thread count.
                     const util::Tracer::Span qspan = ctx.trace.span(
                         "qsearch " + std::to_string(blk.qubits.size()) + "q",
                         "synthesis");
@@ -443,19 +443,6 @@ Circuit EpocCompiler::synthesize_blocks(const std::vector<partition::CircuitBloc
                     qopt.deadline = &deadline;
                     qopt.allowed_pairs = allowed;
                     synthesis::SynthesisResult r = synthesis::qsearch_synthesize(u, qopt);
-                    if (!r.converged && !r.timed_out) {
-                        const util::Tracer::Span lspan = ctx.trace.span(
-                            "leap " + std::to_string(blk.qubits.size()) + "q",
-                            "synthesis");
-                        ctx.trace.add_counter("synth.leap_fallbacks");
-                        synthesis::LeapOptions lo;
-                        lo.threshold = opt_.qsearch.threshold;
-                        lo.instantiate = opt_.qsearch.instantiate;
-                        lo.deadline = &deadline;
-                        lo.allowed_pairs = allowed;
-                        synthesis::SynthesisResult leap = synthesis::leap_synthesize(u, lo);
-                        if (leap.distance < r.distance) r = std::move(leap);
-                    }
                     ctx.trace.add_counter(r.converged ? "synth.converged"
                                                       : "synth.unconverged");
                     return r;

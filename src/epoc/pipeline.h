@@ -43,7 +43,6 @@
 #include "epoc/scheduler.h"
 #include "qoc/pulse_library.h"
 #include "store/pulse_store.h"
-#include "synthesis/leap.h"
 #include "synthesis/qsearch.h"
 #include "util/deadline.h"
 #include "util/sharded_cache.h"
@@ -242,7 +241,7 @@ struct EpocResult {
 /// never on the shared EpocOptions.
 struct CompileCallOptions {
     /// Wall-clock budget for this call, in milliseconds; <= 0 means
-    /// unlimited. The deadline is polled cooperatively inside QSearch/LEAP,
+    /// unlimited. The deadline is polled cooperatively inside QSearch,
     /// every GRAPE iteration and the latency search: on expiry each loop
     /// returns best-so-far and the degradation ladder takes over, so the
     /// compile still returns a valid (if degraded) schedule — it never

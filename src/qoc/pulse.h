@@ -12,6 +12,10 @@ struct Pulse {
     std::vector<std::vector<double>> amplitudes;
     double dt = 2.0;          ///< slot width [ns]
     double fidelity = 0.0;    ///< |tr(U_target^dag U_pulse)| / d
+    /// Index of the best iterate in the GRAPE run that produced this pulse,
+    /// not that run's total work. When a warm run is followed by a cold
+    /// rescue (see grape_optimize), the pulse that ships carries the sum of
+    /// both runs' indices.
     int grape_iterations = 0;
     /// True if GRAPE seeded this pulse from GrapeOptions::warm_amplitudes.
     bool warm_start_applied = false;

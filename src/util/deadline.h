@@ -1,8 +1,8 @@
 // Compile deadlines and cooperative cancellation.
 //
 // A compile gets one Deadline (CompileCallOptions::deadline_ms), and every
-// long-running loop in the pipeline — QSearch's A* expansion, LEAP's rounds,
-// GRAPE's gradient iterations, the latency search's probes — polls it at its
+// long-running loop in the pipeline — QSearch's A* expansion, GRAPE's
+// gradient iterations, the latency search's probes — polls it at its
 // natural iteration granularity. On expiry a loop does NOT throw: it returns
 // its best-so-far result with converged/feasible/timed_out flags set, and the
 // pipeline's degradation ladder substitutes a fallback. That keeps a deadline

@@ -18,7 +18,7 @@ enum class Stage {
     input,     ///< compile() boundary validation
     zx,        ///< graph-based depth optimization
     partition, ///< greedy circuit partitioning
-    synthesis, ///< per-block ZYZ/QSearch/LEAP synthesis
+    synthesis, ///< per-block ZYZ/QSearch synthesis
     regroup,   ///< VUG+CNOT regrouping
     pulse,     ///< per-block / per-gate GRAPE pulse generation
     schedule,  ///< ASAP scheduling

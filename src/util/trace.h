@@ -18,10 +18,10 @@
 //
 // Overhead contract: a disabled tracer does one relaxed atomic load per
 // span/counter call and touches nothing else — no locks, no allocation, no
-// clock reads. The parallel-speedup bench holds the disabled path to < 2 %
-// end-to-end regression. Enabled-path recording takes a mutex per event,
-// which is negligible next to the multi-millisecond GRAPE/QSearch regions it
-// brackets.
+// clock reads. Enabled-path recording takes a mutex per event, which is
+// negligible next to the multi-millisecond GRAPE/QSearch regions it brackets;
+// perfbench's `trace_overhead` metric measures it as the traced/untraced
+// wall-clock ratio on each workload.
 //
 // Determinism contract (PR 1): tracing must never perturb the compiled
 // artifact. Spans are sorted by (begin, end, name, tid) on snapshot so the

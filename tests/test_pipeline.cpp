@@ -108,6 +108,28 @@ TEST(Pipeline, IdentityBlocksAreSkipped) {
     EXPECT_EQ(r.latency_ns, 0.0);
 }
 
+TEST(Pipeline, UnconvergedSynthesisKeepsOriginalGates) {
+    // A node budget of zero leaves QSearch only its CNOT-free root, which
+    // cannot reach an entangling block. Synthesis is an optimization, not an
+    // obligation: the block keeps its original gates, and the compile is
+    // clean, not degraded.
+    EpocOptions opt = cheap_options();
+    opt.use_zx = false;
+    opt.qsearch.max_nodes = 0;
+    opt.trace_enabled = true;
+    opt.verify_level = epoc::verify::VerifyLevel::full;
+    EpocCompiler compiler(opt);
+    Circuit c(3);
+    c.h(0).cx(0, 1).t(1).cx(1, 2).h(2);
+    const EpocResult res = compiler.compile(c);
+    EXPECT_FALSE(res.degraded);
+    EXPECT_EQ(res.trace.counter("synth.unconverged"), 1u);
+    EXPECT_EQ(res.trace.counter("synth.blocks_kept_original"), 1u);
+    EXPECT_EQ(res.trace.counter("synth.blocks_replaced"), 0u);
+    EXPECT_EQ(res.synthesized.two_qubit_count(), 2u);
+    EXPECT_TRUE(res.verify.clean());
+}
+
 TEST(Baselines, GateBasedUsesVirtualRz) {
     Circuit c(1);
     c.rz(0.7, 0);

@@ -1,3 +1,4 @@
+#include "qoc/decoherence.h"
 #include "qoc/grape.h"
 #include "qoc/hamiltonian.h"
 #include "qoc/latency_search.h"
@@ -439,6 +440,30 @@ TEST(LatencySearch, NonfiniteAbortFidelityMatchesReturnedAmplitudes) {
     EXPECT_TRUE(r.pulse.nonfinite_aborted);
     EXPECT_FALSE(r.authoritative());
     EXPECT_LT(resim_error(h, epoc::circuit::pauli_x(), r.pulse), 1e-9);
+}
+
+TEST(Decoherence, FactorDecaysWithDuration) {
+    EXPECT_NEAR(coherence_factor(0.0), 1.0, 1e-12);
+    EXPECT_LT(coherence_factor(1000.0), 1.0);
+    EXPECT_LT(coherence_factor(2000.0), coherence_factor(1000.0));
+}
+
+TEST(Decoherence, InvalidTimesThrow) {
+    DecoherenceParams p;
+    p.t1_ns = 0.0;
+    EXPECT_THROW(coherence_factor(10.0, p), std::invalid_argument);
+}
+
+TEST(Decoherence, EspPenalizesLatency) {
+    epoc::core::PulseSchedule s;
+    s.num_qubits = 2;
+    s.esp = 0.99;
+    s.latency = 500.0;
+    const double with = esp_with_decoherence(s);
+    EXPECT_LT(with, s.esp);
+    epoc::core::PulseSchedule longer = s;
+    longer.latency = 5000.0;
+    EXPECT_LT(esp_with_decoherence(longer), with);
 }
 
 } // namespace

@@ -1,5 +1,4 @@
 #include "synthesis/instantiate.h"
-#include "synthesis/leap.h"
 #include "synthesis/qsearch.h"
 
 #include "circuit/unitary.h"
@@ -120,24 +119,6 @@ TEST(QSearch, StructuredThreeQubitBlock) {
 TEST(QSearch, RejectsBadDimensions) {
     EXPECT_THROW(qsearch_synthesize(Matrix(3, 3)), std::invalid_argument);
     EXPECT_THROW(qsearch_synthesize(Matrix(2, 4)), std::invalid_argument);
-}
-
-TEST(Leap, ConvergesOnStructuredThreeQubit) {
-    Circuit c(3);
-    c.h(0).cx(0, 1).t(1).cx(1, 2).h(2);
-    const auto u = circuit_unitary(c);
-    LeapOptions opt;
-    opt.threshold = 1e-5;
-    const auto r = leap_synthesize(u, opt);
-    EXPECT_TRUE(r.converged);
-    EXPECT_TRUE(equal_up_to_global_phase(circuit_unitary(r.circuit), u, 1e-4));
-}
-
-TEST(Leap, SingleQubitImmediate) {
-    const auto u = random_unitary(2, std::uint64_t{5});
-    const auto r = leap_synthesize(u);
-    EXPECT_TRUE(r.converged);
-    EXPECT_EQ(r.cnot_count, 0);
 }
 
 } // namespace
