@@ -10,15 +10,17 @@ int main(int argc, char** argv) {
     std::printf("%-10s %12s %12s %12s\n", "circuit", "grouped", "no-group", "improvement");
     double imp_sum = 0.0;
     int wins = 0;
+    int ties = 0;
     for (const SuiteRow& r : rows) {
         const double imp = 100.0 * (r.grouped.esp - r.ungrouped.esp) / r.ungrouped.esp;
         imp_sum += imp;
-        if (r.grouped.esp >= r.ungrouped.esp) ++wins;
+        wins += r.grouped.esp > r.ungrouped.esp;
+        ties += r.grouped.esp == r.ungrouped.esp;
         std::printf("%-10s %12.4f %12.4f %11.1f%%\n", r.name.c_str(), r.grouped.esp,
                     r.ungrouped.esp, imp);
     }
-    std::printf("\ngrouping higher fidelity on %d/%zu benchmarks; average improvement "
-                "%.2f%% (paper: generally higher, avg 33.77%%)\n",
-                wins, rows.size(), imp_sum / static_cast<double>(rows.size()));
+    std::printf("\ngrouping higher fidelity on %d/%zu benchmarks, tied on %d; average "
+                "improvement %.2f%% (paper: generally higher, avg 33.77%%)\n",
+                wins, rows.size(), ties, imp_sum / static_cast<double>(rows.size()));
     return 0;
 }

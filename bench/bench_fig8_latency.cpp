@@ -11,16 +11,18 @@ int main(int argc, char** argv) {
                 "reduction");
     double red_sum = 0.0;
     int wins = 0;
+    int ties = 0;
     for (const SuiteRow& r : rows) {
         const double red =
             100.0 * (r.ungrouped.latency_ns - r.grouped.latency_ns) / r.ungrouped.latency_ns;
         red_sum += red;
-        if (r.grouped.latency_ns <= r.ungrouped.latency_ns) ++wins;
+        wins += r.grouped.latency_ns < r.ungrouped.latency_ns;
+        ties += r.grouped.latency_ns == r.ungrouped.latency_ns;
         std::printf("%-10s %14.1f %14.1f %9.1f%%\n", r.name.c_str(), r.grouped.latency_ns,
                     r.ungrouped.latency_ns, red);
     }
-    std::printf("\ngrouping shorter on %d/%zu benchmarks; average latency reduction "
-                "%.2f%% (paper: all, 51.11%%)\n",
-                wins, rows.size(), red_sum / static_cast<double>(rows.size()));
+    std::printf("\ngrouping shorter on %d/%zu benchmarks, tied on %d; average latency "
+                "reduction %.2f%% (paper: all, 51.11%%)\n",
+                wins, rows.size(), ties, red_sum / static_cast<double>(rows.size()));
     return 0;
 }

@@ -132,7 +132,7 @@ int main(int argc, char** argv) {
     std::vector<std::string> pack_dirs;
     std::string backend_name;
     double deadline_ms = 0.0;
-    verify::VerifyLevel verify_level = verify::VerifyLevel::unset;
+    verify::VerifyLevel verify_level = verify::VerifyLevel::off;
     bool corrupt_store = false;
     bool sweep = false;
     for (int i = 1; i < argc; ++i) {
@@ -144,7 +144,7 @@ int main(int argc, char** argv) {
             store_dir = argv[++i];
         } else if (std::strcmp(argv[i], "--packs") == 0 && i + 1 < argc) {
             // Colon-separated read-only pack directories, probed in order
-            // behind the local store tier (same syntax as EPOC_PULSE_PACKS).
+            // behind the local store tier; empty entries are skipped.
             const std::string spec = argv[++i];
             std::size_t begin = 0;
             while (begin <= spec.size()) {

@@ -4,7 +4,7 @@
 // The workflow: run any compiler with --store DIR until the store is warm,
 // `epoc_pack create DIR lib.pack` to fold the loose entries into one
 // artifact, `epoc_pack verify lib.pack` as the ingest gate, then mount the
-// pack's directory on other machines via EPOC_PULSE_PACKS / --packs /
+// pack's directory on other machines via compare_compilers --packs /
 // epocd --pack-dir. Fleets with several warm stores `merge` them (first pack
 // wins on duplicate keys, matching the store's probe order).
 //

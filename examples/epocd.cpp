@@ -18,9 +18,9 @@
 //   --store DIR         attach the persistent pulse store
 //   --pack-dir DIR      layer a read-only shared pack directory (immutable
 //                       *.pack warm-library segments) behind the store
-//                       (repeatable, probed in order; requires --store or
-//                       EPOC_PULSE_STORE); hit rates appear in the status
-//                       endpoint as store.pack.* counters
+//                       (repeatable, probed in order; requires --store);
+//                       hit rates appear in the status endpoint as
+//                       store.pack.* counters
 //   --drain-ms MS       shutdown drain budget: how long stop() waits for
 //                       executors to answer the queue (default 10000)
 //   --fast              cheap search settings (CI/smoke: same flag on the

@@ -74,7 +74,7 @@ int main() {
                 store.stats().hits, store.stats().misses, store.stats().writes,
                 static_cast<unsigned long long>(store.stats().bytes));
     std::printf("\nre-run this demo: the writer library now reports disk hits too.\n"
-                "EpocOptions::pulse_store_dir (or EPOC_PULSE_STORE) arms the same\n"
-                "tier inside the full compiler.\n");
+                "EpocOptions::pulse_store_dir arms the same tier inside the full\n"
+                "compiler.\n");
     return 0;
 }

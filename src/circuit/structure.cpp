@@ -1,6 +1,7 @@
 #include "circuit/structure.h"
 
 #include "linalg/phase.h"
+#include "util/hash.h"
 
 #include <cstdint>
 #include <sstream>
@@ -13,18 +14,6 @@ namespace {
 // 2^42 rad: far beyond any physical rotation angle, and every slot index up
 // to 2^51 stays an exact integer offset in double.
 constexpr double kSentinelBase = 4398046511104.0;
-
-// Local FNV-1a so the circuit layer stays independent of qoc/pulse_io.h
-// (same algorithm and offset basis; the fingerprints need only be stable and
-// collision-resistant, not shared with the pulse store's).
-std::uint64_t fnv1a64(const std::string& s) {
-    std::uint64_t h = 1469598103934665603ULL;
-    for (const char ch : s) {
-        h ^= static_cast<unsigned char>(ch);
-        h *= 1099511628211ULL;
-    }
-    return h;
-}
 
 } // namespace
 
@@ -55,7 +44,7 @@ StrippedCircuit strip_parameters(const Circuit& c) {
             // Attached unitaries are structure, fingerprinted exactly like
             // the pulse-library's phase-oblivious key so distinct matrices
             // never alias.
-            key << "@" << std::hex << fnv1a64(linalg::raw_key(*g.matrix, 6))
+            key << "@" << std::hex << util::fnv1a64(linalg::raw_key(*g.matrix, 6))
                 << std::dec;
             continue;
         }

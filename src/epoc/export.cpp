@@ -1,5 +1,7 @@
 #include "epoc/export.h"
 
+#include "util/trace.h"
+
 #include <algorithm>
 #include <cmath>
 #include <sstream>
@@ -7,27 +9,6 @@
 namespace epoc::core {
 
 namespace {
-
-void json_escape_into(std::ostringstream& os, const std::string& s) {
-    static const char* hex = "0123456789abcdef";
-    for (const char ch : s) {
-        switch (ch) {
-        case '"': os << "\\\""; break;
-        case '\\': os << "\\\\"; break;
-        case '\n': os << "\\n"; break;
-        case '\t': os << "\\t"; break;
-        case '\r': os << "\\r"; break;
-        case '\b': os << "\\b"; break;
-        case '\f': os << "\\f"; break;
-        default:
-            // Remaining control characters are invalid raw JSON; \u-escape.
-            if (static_cast<unsigned char>(ch) < 0x20)
-                os << "\\u00" << hex[(ch >> 4) & 0xf] << hex[ch & 0xf];
-            else
-                os << ch;
-        }
-    }
-}
 
 /// JSON has no NaN/inf tokens; a bare `nan` from ostream would make the whole
 /// document unparseable. Degraded schedules can carry non-finite fidelities
@@ -55,7 +36,7 @@ std::string schedule_to_json(const PulseSchedule& s) {
         const ScheduledPulse& p = s.pulses[i];
         if (i) os << ",";
         os << "{\"label\":\"";
-        json_escape_into(os, p.job.label);
+        util::json_escape_into(os, p.job.label);
         os << "\",\"qubits\":[";
         for (std::size_t q = 0; q < p.job.qubits.size(); ++q) {
             if (q) os << ",";

@@ -311,19 +311,14 @@ struct EpocCompiler::CompileContext {
 EpocCompiler::EpocCompiler(EpocOptions opt)
     : opt_(std::move(opt)),
       tracer_(opt_.trace_enabled),
-      // The level comes from verify_level + EPOC_VERIFY (env wins only over
-      // `unset`); every other verifier knob keeps its default.
-      verifier_(verify::VerifyOptions{.level = verify::resolve_level(opt_.verify_level)}),
+      // Every other verifier knob keeps its default.
+      verifier_(verify::VerifyOptions{.level = opt_.verify_level}),
       pool_(opt_.num_threads),
       library_(opt_.phase_aware_library) {
-    std::string store_dir = opt_.pulse_store_dir;
-    if (store_dir.empty()) store_dir = store::PulseStore::dir_from_env();
-    if (!store_dir.empty()) {
+    if (!opt_.pulse_store_dir.empty()) {
         store::PulseStoreOptions sopt;
-        sopt.dir = store_dir;
+        sopt.dir = opt_.pulse_store_dir;
         sopt.pack_dirs = opt_.pulse_pack_dirs;
-        if (sopt.pack_dirs.empty())
-            sopt.pack_dirs = store::PulseStore::pack_dirs_from_env();
         store_ = std::make_unique<store::PulseStore>(std::move(sopt));
         library_.set_store(store_.get());
     }

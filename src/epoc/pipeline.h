@@ -83,29 +83,23 @@ struct EpocOptions {
     /// attached to the pulse library as its L2 tier: memory miss -> probe
     /// disk -> verify -> promote; authoritative results written back, so
     /// GRAPE work survives the process and is shared between concurrent
-    /// compilers pointed at the same directory. Empty disables persistence;
-    /// when empty the EPOC_PULSE_STORE environment variable is consulted
-    /// instead (an explicitly set option always wins over the env).
+    /// compilers pointed at the same directory. Empty disables persistence.
     std::string pulse_store_dir;
     /// Read-only shared pack directories (store/pack.h) layered behind the
     /// local store tier: each holds immutable `*.pack` segments (shipped warm
     /// libraries) probed on a local miss, so a fresh machine cold-starts at
-    /// warm-run speed. Requires a store (`pulse_store_dir` or env) to be
-    /// armed — the pack tier is part of the store. Empty consults the
-    /// EPOC_PULSE_PACKS environment variable (colon-separated directories;
-    /// an explicitly set option always wins). Every pack hit is re-simulated
-    /// through the verify layer before being trusted, whatever the verify
-    /// level — foreign bytes are trust-but-verify, never trust.
+    /// warm-run speed. Requires `pulse_store_dir` to be set — the pack tier
+    /// is part of the store. Every pack hit is re-simulated through the
+    /// verify layer before being trusted, whatever the verify level —
+    /// foreign bytes are trust-but-verify, never trust.
     std::vector<std::string> pulse_pack_dirs;
     /// Independent output auditing (src/verify/verify.h): `off` disables
     /// every check (the compile is bit-identical to a verifier-less build),
     /// `sampled` audits stage equivalence always and per-block artifacts on a
-    /// deterministic subset, `full` audits everything. The default `unset`
-    /// resolves through the EPOC_VERIFY environment variable (off|sampled|
-    /// full), falling back to off — an explicitly set option always wins.
+    /// deterministic subset, `full` audits everything.
     /// Audit failures never throw: they take the degradation ladder as
     /// Cause::verify_failed (recompute once, then fall a rung).
-    verify::VerifyLevel verify_level = verify::VerifyLevel::unset;
+    verify::VerifyLevel verify_level = verify::VerifyLevel::off;
     /// Incremental variational compilation (epoc/plan_cache.h): key each
     /// compile on the circuit's parameter-stripped structure and cache the
     /// front end's product (ZX + partition + synthesis as a slot-sentinel
@@ -184,8 +178,7 @@ struct EpocResult {
     /// Cumulative synthesis-cache activity (same counters, QSearch results).
     util::CacheStats synth_cache_stats;
     /// True iff this compiler runs with a persistent pulse store attached
-    /// (EpocOptions::pulse_store_dir / EPOC_PULSE_STORE); `store_stats` is
-    /// only meaningful then.
+    /// (EpocOptions::pulse_store_dir); `store_stats` is only meaningful then.
     bool store_enabled = false;
     /// Cumulative on-disk store activity (hits/misses/writes/corrupt/
     /// evicted/bytes), from the store's own accounting.
@@ -227,7 +220,7 @@ struct EpocResult {
     /// counts, store revalidations and rejects, recomputes, and the shipped
     /// schedule's audited error budget (sum over audited pulses of
     /// |recorded - re-simulated| fidelity). Level `off` with zero counts
-    /// unless verify_level resolved to sampled/full.
+    /// unless verify_level is sampled/full.
     verify::VerifySummary verify;
     /// One entry per unit of per-block work, in deterministic block order:
     /// every synthesis block, every grouped-arm pulse block, every
@@ -301,8 +294,8 @@ public:
     /// that starts while it is enabled records into its own trace, returned
     /// on EpocResult::trace; this tracer itself records nothing.
     util::Tracer& tracer() { return tracer_; }
-    /// The compiler's verifier (enabled iff verify_level resolved to
-    /// sampled/full; see EpocOptions::verify_level).
+    /// The compiler's verifier (enabled iff verify_level is sampled/full;
+    /// see EpocOptions::verify_level).
     const verify::Verifier& verifier() const { return verifier_; }
     /// The compilation plan cache (populated only when EpocOptions::plan_cache
     /// is on), keyed on structure plus backend fingerprint. Exposed for

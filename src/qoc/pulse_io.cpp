@@ -38,21 +38,10 @@ std::string exact_double(double x) {
     return s;
 }
 
-std::uint64_t fnv1a64(const void* data, std::size_t n, std::uint64_t state) {
-    const unsigned char* p = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < n; ++i) {
-        state ^= p[i];
-        state *= 1099511628211ULL;
-    }
-    return state;
-}
-
-std::uint64_t fnv1a64(const std::string& s) { return fnv1a64(s.data(), s.size()); }
-
 std::optional<std::uint64_t> fnv1a64_file(const std::string& path, std::size_t limit) {
     std::ifstream in(path, std::ios::binary);
     if (!in) return std::nullopt;
-    std::uint64_t state = 14695981039346656037ULL;
+    std::uint64_t state = util::kFnv1a64Offset;
     char chunk[1 << 16];
     std::size_t left = limit;
     while (left > 0) {

@@ -24,6 +24,7 @@
 #pragma once
 
 #include "qoc/latency_search.h"
+#include "util/hash.h"
 
 #include <cstdint>
 #include <optional>
@@ -36,11 +37,8 @@ namespace epoc::qoc {
 /// cache-key component where decimal formatting would round-collide.
 std::string exact_double(double x);
 
-/// 64-bit FNV-1a over `n` bytes, continuing from `state` (pass the default to
-/// start a fresh hash; chain calls to hash discontiguous pieces).
-std::uint64_t fnv1a64(const void* data, std::size_t n,
-                      std::uint64_t state = 14695981039346656037ULL);
-std::uint64_t fnv1a64(const std::string& s);
+/// util/hash.h's FNV-1a, the hash the codec's checksums are built on.
+using util::fnv1a64;
 
 /// 64-bit FNV-1a over the first `limit` bytes of the file at `path` (the
 /// whole file when `limit` is SIZE_MAX), streamed in fixed chunks so pack

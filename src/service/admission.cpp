@@ -4,10 +4,39 @@
 
 namespace epoc::service {
 
+namespace {
+
+void count_outcome(TenantCounters& tc, const JobResponse& resp) {
+    switch (resp.status) {
+    case JobStatus::ok:
+        ++tc.completed;
+        if (resp.degraded) ++tc.degraded;
+        break;
+    case JobStatus::cancelled: ++tc.cancelled; break;
+    case JobStatus::shed_deadline: ++tc.shed_deadline; break;
+    default: ++tc.failed; break;
+    }
+}
+
+} // namespace
+
+JobResponse dead_job_response(const Job& job, const std::string& when) {
+    JobResponse resp;
+    resp.id = job.request.id;
+    if (job.cancel->cancelled()) {
+        resp.status = JobStatus::cancelled;
+        resp.detail = "cancelled " + when;
+    } else {
+        resp.status = JobStatus::shed_deadline;
+        resp.detail = "budget exhausted " + when;
+    }
+    return resp;
+}
+
 AdmissionController::AdmissionController(AdmissionOptions opt) : opt_(opt) {}
 
 Verdict AdmissionController::submit(Job&& job) {
-    std::lock_guard<std::mutex> lock(mutex_);
+    std::unique_lock<std::mutex> lock(mutex_);
     TenantCounters& tc = tenants_[job.request.tenant];
     ++tc.submitted;
     if (closed_) {
@@ -17,28 +46,55 @@ Verdict AdmissionController::submit(Job&& job) {
         ++tc.cancelled;
         return Verdict::closed;
     }
+    std::vector<Answer> dropped;
+    if (queued_ + in_flight_ >= opt_.max_pending) dropped = drop_dead_locked();
+    Verdict verdict = Verdict::admitted;
     if (queued_ + in_flight_ >= opt_.max_pending) {
         ++tc.rejected_overload;
-        return Verdict::rejected_overload;
-    }
-    // Feasibility gate: an armed deadline with (almost) nothing left cannot
-    // produce anything but a placeholder artifact — shed it at the door. A
-    // fired cancel token zeroes remaining_ms() (the satellite-2 fix), so
-    // already-dead jobs shed here too instead of occupying an executor.
-    if (job.deadline.armed() && job.deadline.remaining_ms() < opt_.min_feasible_ms) {
+        verdict = Verdict::rejected_overload;
+    } else if (cannot_run(job)) {
+        // Feasibility gate: an armed deadline with (almost) nothing left, or
+        // a fired token, cannot produce anything but a placeholder artifact.
         ++tc.shed_deadline;
-        return Verdict::shed_deadline;
+        verdict = Verdict::shed_deadline;
+    } else {
+        ++tc.admitted;
+        Level& level = levels_[job.request.priority];
+        std::deque<Job>& q = level.by_tenant[job.request.tenant];
+        if (q.empty()) level.order.push_back(job.request.tenant);
+        q.push_back(std::move(job));
+        ++level.jobs;
+        ++queued_;
+        peak_pending_ = std::max<std::uint64_t>(peak_pending_, queued_ + in_flight_);
+        ready_.notify_one();
     }
-    ++tc.admitted;
-    Level& level = levels_[job.request.priority];
-    std::deque<Job>& q = level.by_tenant[job.request.tenant];
-    if (q.empty()) level.order.push_back(job.request.tenant);
-    q.push_back(std::move(job));
-    ++level.jobs;
-    ++queued_;
-    peak_pending_ = std::max<std::uint64_t>(peak_pending_, queued_ + in_flight_);
-    ready_.notify_one();
-    return Verdict::admitted;
+    lock.unlock(); // respond() enqueues on a connection and may disconnect it
+    for (const auto& [respond, resp] : dropped) respond(resp);
+    return verdict;
+}
+
+std::vector<AdmissionController::Answer> AdmissionController::drop_dead_locked() {
+    std::vector<Answer> dropped;
+    for (auto& [priority, level] : levels_) {
+        for (auto& [tenant, q] : level.by_tenant)
+            for (auto it = q.begin(); it != q.end();) {
+                if (!cannot_run(*it)) {
+                    ++it;
+                    continue;
+                }
+                JobResponse resp = dead_job_response(*it, "while queued");
+                count_outcome(tenants_[tenant], resp);
+                dropped.emplace_back(std::move(it->respond), std::move(resp));
+                it = q.erase(it);
+                --level.jobs;
+                --queued_;
+            }
+        std::erase_if(level.order,
+                      [&](const std::string& t) { return level.by_tenant.at(t).empty(); });
+        std::erase_if(level.by_tenant, [](const auto& kv) { return kv.second.empty(); });
+    }
+    std::erase_if(levels_, [](const auto& kv) { return kv.second.jobs == 0; });
+    return dropped;
 }
 
 bool AdmissionController::next(Job& out) {
@@ -74,16 +130,7 @@ bool AdmissionController::next(Job& out) {
 void AdmissionController::finish(const Job& job, const JobResponse& resp) {
     std::lock_guard<std::mutex> lock(mutex_);
     --in_flight_;
-    TenantCounters& tc = tenants_[job.request.tenant];
-    switch (resp.status) {
-    case JobStatus::ok:
-        ++tc.completed;
-        if (resp.degraded) ++tc.degraded;
-        break;
-    case JobStatus::cancelled: ++tc.cancelled; break;
-    case JobStatus::shed_deadline: ++tc.shed_deadline; break;
-    default: ++tc.failed; break;
-    }
+    count_outcome(tenants_[job.request.tenant], resp);
 }
 
 void AdmissionController::record_replay(const std::string& tenant) {

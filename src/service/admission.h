@@ -7,12 +7,15 @@
 //     the bound the job is rejected_overload immediately rather than queued
 //     into a latency death spiral;
 //   * deadline feasibility: a job whose budget is already spent (or below
-//     min_feasible_ms) is shed_deadline at the door — running it could only
+//     kMinFeasibleMs) is shed_deadline at the door — running it could only
 //     produce a maximally-degraded artifact after burning an executor slot
 //     somebody with budget left was waiting for. This reuses util::Deadline:
 //     the job's deadline is armed at submission, so queueing time counts
 //     against the budget, and the executor re-checks remaining_ms() at
 //     dispatch (a job admitted feasible can die waiting in the queue).
+//     A full queue first drops the queued jobs that died waiting, so a
+//     client that reconnects and re-submits does not find its own cancelled
+//     copies holding the capacity.
 //
 // Admitted jobs wait in a two-level fair queue: strict priority levels
 // (larger = more urgent), round-robin across tenants within a level. A tenant
@@ -38,6 +41,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace epoc::service {
@@ -46,11 +50,12 @@ struct AdmissionOptions {
     /// Ceiling on queued + in-flight jobs; submissions beyond it are
     /// rejected_overload.
     std::size_t max_pending = 256;
-    /// Jobs whose remaining budget is below this are shed as infeasible
-    /// (only jobs that carry a deadline; deadline-free jobs always pass
-    /// the feasibility gate).
-    double min_feasible_ms = 1.0;
 };
+
+/// Jobs whose remaining budget is below this are shed as infeasible. A fired
+/// cancel token zeroes the budget, so cancelled jobs fall below it too;
+/// a deadline-free job with a live token never does.
+inline constexpr double kMinFeasibleMs = 1.0;
 
 /// One unit of work flowing through the service: the wire request plus the
 /// runtime state the daemon attaches (armed deadline, cancel token, and the
@@ -74,6 +79,17 @@ struct Job {
     std::function<void(const JobResponse&)> respond;
     std::chrono::steady_clock::time_point enqueued_at{};
 };
+
+/// True once a job can no longer run: its remaining budget is below
+/// kMinFeasibleMs.
+inline bool cannot_run(const Job& job) {
+    return job.deadline.remaining_ms() < kMinFeasibleMs;
+}
+
+/// The answer to a job that cannot run: `cancelled` once its token fired,
+/// else `shed_deadline`. `when` ("while queued", "before compile") ends the
+/// detail.
+JobResponse dead_job_response(const Job& job, const std::string& when);
 
 enum class Verdict : std::uint8_t {
     admitted = 0,
@@ -107,7 +123,9 @@ public:
 
     /// Gate + enqueue. On `admitted` the job is owned by the queue until an
     /// executor takes it; any other verdict leaves `job` untouched for the
-    /// caller to answer. Thread-safe; never blocks on capacity.
+    /// caller to answer. At capacity, queued jobs that cannot run are first
+    /// dropped, counted and answered (outside the lock) as dispatch would
+    /// answer them. Thread-safe; never blocks on capacity.
     Verdict submit(Job&& job);
 
     /// Dequeue the next job by (priority desc, tenant round-robin), blocking
@@ -142,6 +160,11 @@ private:
         std::size_t next = 0;
         std::size_t jobs = 0;
     };
+    using Answer = std::pair<std::function<void(const JobResponse&)>, JobResponse>;
+
+    /// Remove the queued jobs that cannot run, count each, and return their
+    /// answers. Caller holds mutex_.
+    std::vector<Answer> drop_dead_locked();
 
     AdmissionOptions opt_;
     mutable std::mutex mutex_;

@@ -21,6 +21,15 @@ namespace epoc::service {
 
 namespace {
 
+/// Slow-client protection: a connection with this many responses queued is
+/// disconnected (service.slow_client_disconnects), and so is one whose peer
+/// takes longer than kWriteTimeoutMs to accept a single response — an
+/// executor is never parked behind a wedged peer.
+constexpr std::size_t kMaxOutboxFrames = 256;
+constexpr double kWriteTimeoutMs = 5000.0;
+/// Completed responses remembered for idempotent re-submission.
+constexpr std::size_t kReplayEntries = 1024;
+
 /// Replay-table key: tenants cannot collide with each other, and \x1f
 /// cannot appear in a numeric id rendering.
 std::string replay_key(const std::string& tenant, std::uint64_t id) {
@@ -90,10 +99,10 @@ struct EpocDaemon::Connection {
     /// Queue one frame for the writer. `full` leaves the frame unqueued so
     /// the caller can disconnect-with-accounting.
     enum class Enqueue { queued, full, closed };
-    Enqueue enqueue(std::string payload, std::size_t max_frames) {
+    Enqueue enqueue(std::string payload) {
         std::lock_guard<std::mutex> lock(mutex);
         if (!open) return Enqueue::closed;
-        if (outbox.size() >= max_frames) return Enqueue::full;
+        if (outbox.size() >= kMaxOutboxFrames) return Enqueue::full;
         outbox.push_back(std::move(payload));
         outbox_cv.notify_all();
         return Enqueue::queued;
@@ -135,7 +144,6 @@ bool EpocDaemon::ReplayTable::lookup(const std::string& key,
 
 void EpocDaemon::ReplayTable::insert(const std::string& key,
                                      const JobResponse& resp) {
-    if (cap_ == 0) return;
     std::lock_guard<std::mutex> lock(mutex_);
     const auto [it, fresh] = map_.try_emplace(key, resp);
     if (!fresh) {
@@ -143,15 +151,14 @@ void EpocDaemon::ReplayTable::insert(const std::string& key,
         return;
     }
     fifo_.push_back(key);
-    while (fifo_.size() > cap_) {
+    while (fifo_.size() > kReplayEntries) {
         map_.erase(fifo_.front());
         fifo_.pop_front();
     }
 }
 
 EpocDaemon::EpocDaemon(DaemonOptions opt)
-    : opt_(std::move(opt)), admission_(opt_.admission),
-      replay_(opt_.replay_entries) {
+    : opt_(std::move(opt)), admission_(opt_.admission) {
     compiler_ = std::make_unique<core::EpocCompiler>(opt_.compiler);
     opt_.num_executors = std::max(1, opt_.num_executors);
     if (opt_.backends == nullptr)
@@ -215,7 +222,6 @@ void EpocDaemon::start() {
     }
     for (int i = 0; i < opt_.num_executors; ++i)
         executors_.emplace_back([this] { executor_loop(); });
-    watchdog_thread_ = std::thread([this] { watchdog_loop(); });
     accept_thread_ = std::thread([this] { accept_loop(); });
 }
 
@@ -262,8 +268,6 @@ void EpocDaemon::stop() {
     }
     for (std::thread& t : executors_) t.join();
     executors_.clear();
-    watchdog_cv_.notify_all();
-    if (watchdog_thread_.joinable()) watchdog_thread_.join();
     // 4. Wake and reap the accept thread. The close happens only after the
     //    join: closing while accept() still blocks on the fd would let the
     //    kernel recycle the descriptor under it.
@@ -351,7 +355,7 @@ void EpocDaemon::writer_loop(std::shared_ptr<Connection> conn) {
             if (conn->outbox.empty()) conn->outbox_cv.notify_all(); // flush()
         }
         const IoStatus s = write_frame_deadline(
-            conn->fd, frame, util::Deadline::after_ms(opt_.write_timeout_ms));
+            conn->fd, frame, util::Deadline::after_ms(kWriteTimeoutMs));
         if (s != IoStatus::ok) {
             // A peer too slow to accept one frame within the write timeout
             // is indistinguishable from a wedged one: disconnect with
@@ -384,8 +388,7 @@ void EpocDaemon::serve_connection(std::shared_ptr<Connection> conn) {
         }
         case MsgType::status_request: {
             status_requests_.fetch_add(1, std::memory_order_relaxed);
-            if (conn->enqueue(encode_status_response(status()),
-                              opt_.max_outbox_frames) ==
+            if (conn->enqueue(encode_status_response(status())) ==
                 Connection::Enqueue::full) {
                 slow_client_disconnects_.fetch_add(1, std::memory_order_relaxed);
                 conn->disconnect();
@@ -393,7 +396,7 @@ void EpocDaemon::serve_connection(std::shared_ptr<Connection> conn) {
             break;
         }
         case MsgType::shutdown_request: {
-            conn->enqueue(encode_shutdown_response(), opt_.max_outbox_frames);
+            conn->enqueue(encode_shutdown_response());
             request_shutdown(); // keep serving; the wait()er drives stop()
             break;
         }
@@ -411,7 +414,7 @@ void EpocDaemon::serve_connection(std::shared_ptr<Connection> conn) {
 
 void EpocDaemon::send_response(const std::shared_ptr<Connection>& conn,
                                const JobResponse& resp) {
-    switch (conn->enqueue(encode_job_response(resp), opt_.max_outbox_frames)) {
+    switch (conn->enqueue(encode_job_response(resp))) {
     case Connection::Enqueue::queued: break;
     case Connection::Enqueue::full:
         // Slow-client protection: a peer that cannot drain its own results
@@ -432,8 +435,7 @@ void EpocDaemon::handle_job_request(const std::shared_ptr<Connection>& conn,
     // instead of recompiling. Only completed verdicts are recorded, so a
     // retried job that was cancelled mid-flight genuinely re-runs.
     JobResponse replayed;
-    if (opt_.replay_entries > 0 &&
-        replay_.lookup(replay_key(req.tenant, req.id), replayed)) {
+    if (replay_.lookup(replay_key(req.tenant, req.id), replayed)) {
         replay_hits_.fetch_add(1, std::memory_order_relaxed);
         admission_.record_replay(req.tenant);
         send_response(conn, replayed);
@@ -453,9 +455,7 @@ void EpocDaemon::handle_job_request(const std::shared_ptr<Connection>& conn,
             resp.id = job.request.id;
             resp.status = JobStatus::invalid_input;
             resp.detail = "unknown backend '" + job.request.backend + "'";
-            if (opt_.replay_entries > 0)
-                replay_.insert(replay_key(job.request.tenant, job.request.id),
-                               resp);
+            replay_.insert(replay_key(job.request.tenant, job.request.id), resp);
             send_response(conn, resp);
             return;
         }
@@ -493,64 +493,17 @@ void EpocDaemon::handle_job_request(const std::shared_ptr<Connection>& conn,
     send_response(conn, resp);
 }
 
-std::uint64_t EpocDaemon::watchdog_register(const Job& job) {
-    if (job.request.deadline_ms <= 0.0) return 0; // nothing armed to overrun
-    const double budget = job.request.deadline_ms;
-    const double grace_ms =
-        std::max(opt_.watchdog_min_grace_ms,
-                 (std::max(1.0, opt_.watchdog_grace) - 1.0) * budget);
-    WatchedJob w;
-    w.cancel = job.cancel;
-    w.fire_at = std::chrono::steady_clock::now() +
-                std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                    std::chrono::duration<double, std::milli>(
-                        job.deadline.remaining_ms() + grace_ms));
-    std::lock_guard<std::mutex> lock(watchdog_mutex_);
-    const std::uint64_t slot = ++watchdog_slot_;
-    watched_.emplace(slot, std::move(w));
-    return slot;
-}
-
-void EpocDaemon::watchdog_unregister(std::uint64_t slot) {
-    if (slot == 0) return;
-    std::lock_guard<std::mutex> lock(watchdog_mutex_);
-    watched_.erase(slot);
-}
-
-void EpocDaemon::watchdog_loop() {
-    std::unique_lock<std::mutex> lock(watchdog_mutex_);
-    while (running_.load()) {
-        watchdog_cv_.wait_for(
-            lock,
-            std::chrono::duration<double, std::milli>(opt_.watchdog_poll_ms));
-        if (!running_.load()) return;
-        const auto now = std::chrono::steady_clock::now();
-        for (auto& [slot, w] : watched_) {
-            if (w.fired || now < w.fire_at) continue;
-            // The job blew its deadline *and* the grace: the §4e polling
-            // points should have wound it down long ago, so something is
-            // wedged — fire its token and take the executor back.
-            w.fired = true;
-            w.cancel->cancel();
-            watchdog_fired_.fetch_add(1, std::memory_order_relaxed);
-        }
-    }
-}
-
 void EpocDaemon::executor_loop() {
     Job job;
     while (admission_.next(job)) {
-        const std::uint64_t slot = watchdog_register(job);
         const JobResponse resp = run_job(job);
-        watchdog_unregister(slot);
         // Record completed verdicts for idempotent re-submission before
         // answering: if the response write is the thing that fails, the
         // retried id must already find the record. Only deterministic
         // outcomes are replayable — a degraded ok is a product of runtime
         // circumstance, so a retried id recomputes it instead.
-        if (opt_.replay_entries > 0 &&
-            ((resp.status == JobStatus::ok && !resp.degraded) ||
-             resp.status == JobStatus::invalid_input))
+        if ((resp.status == JobStatus::ok && !resp.degraded) ||
+            resp.status == JobStatus::invalid_input)
             replay_.insert(replay_key(job.request.tenant, job.request.id), resp);
         // Account before answering: a client that probes the status endpoint
         // right after its response must see its own job in the counters.
@@ -571,24 +524,13 @@ JobResponse EpocDaemon::run_job(Job& job) {
     JobResponse resp;
     resp.id = job.request.id;
     try {
-        if (job.cancel->cancelled()) {
-            resp.status = JobStatus::cancelled;
-            resp.detail = "cancelled while queued";
-            return resp;
-        }
         // Late feasibility check: the admission gate passed, but the queue
         // wait may have eaten the budget since.
-        if (job.deadline.armed() &&
-            job.deadline.remaining_ms() < opt_.admission.min_feasible_ms) {
-            resp.status = JobStatus::shed_deadline;
-            resp.detail = "budget exhausted while queued";
-            return resp;
-        }
-        // A wedge the cooperative deadline cannot break (a stuck dependency,
-        // a non-polling loop): only the watchdog firing this job's token
-        // gets the executor back. Test-only by construction.
+        if (cannot_run(job)) return dead_job_response(job, "while queued");
+        // Slow pre-compile work that honours the job's deadline (and with it
+        // the job's token). Test-only by construction.
         if (util::fault::maybe_fail("service.executor_stall"))
-            while (!job.cancel->cancelled())
+            while (!job.deadline.expired())
                 std::this_thread::sleep_for(std::chrono::milliseconds(1));
         circuit::Circuit circuit(0);
         try {
@@ -598,33 +540,18 @@ JobResponse EpocDaemon::run_job(Job& job) {
             resp.detail = e.what();
             return resp;
         }
+        // The budget that survived the queue and the parse goes to the
+        // compile (0 = none requested = unlimited). A spent budget would
+        // read as unlimited there, so such a job is answered instead.
+        const double budget_ms = job.deadline.remaining_ms();
+        if (budget_ms < kMinFeasibleMs) return dead_job_response(job, "before compile");
         core::CompileCallOptions call;
         call.cancel = job.cancel.get();
         call.backend = job.backend;
-        // Hand the compile whatever budget survived the queue (0 = none
-        // requested = unlimited).
-        call.deadline_ms =
-            job.request.deadline_ms > 0.0 ? job.deadline.remaining_ms() : 0.0;
-        core::EpocResult r = compiler_->compile(circuit, call);
-        // Shared-compiler hazard: single-flight publishes a cancelled or
-        // timed-out leader's degraded pulse to its waiters (then evicts it),
-        // so a healthy job can inherit another job's degradation — e.g. a
-        // disconnect firing job A's token mid-GRAPE degrades job B, which
-        // was waiting on the same pulse key. The waiter cannot tell an
-        // inherited non-authoritative pulse from a deterministic one (both
-        // surface as infeasible/nonfinite block causes), so a degraded
-        // result with our own token and deadline intact is re-compiled once:
-        // inherited poison is already evicted and recomputes clean, while a
-        // genuinely degraded circuit replays out of the library's cached
-        // authoritative entries at almost no cost and ships as-is.
-        if (r.degraded && !r.deadline_hit && !job.cancel->cancelled()) {
-            degraded_retries_.fetch_add(1, std::memory_order_relaxed);
-            if (job.request.deadline_ms > 0.0)
-                call.deadline_ms = job.deadline.remaining_ms();
-            r = compiler_->compile(circuit, call);
-            if (r.degraded)
-                degraded_shipped_.fetch_add(1, std::memory_order_relaxed);
-        }
+        call.deadline_ms = job.request.deadline_ms > 0.0 ? budget_ms : 0.0;
+        // A degraded pulse a single-flight leader hands this healthy job is
+        // already recomputed by the caches (get_or_compute_retrying).
+        const core::EpocResult r = compiler_->compile(circuit, call);
 
         resp.degraded = r.degraded;
         resp.deadline_hit = r.deadline_hit;
@@ -686,8 +613,6 @@ StatusResponse EpocDaemon::status() const {
         status_requests_.load(std::memory_order_relaxed));
     put("service.accept_faults",
         accept_faults_.load(std::memory_order_relaxed));
-    put("service.watchdog_fired",
-        watchdog_fired_.load(std::memory_order_relaxed));
     put("service.slow_client_disconnects",
         slow_client_disconnects_.load(std::memory_order_relaxed));
     put("service.write_timeouts",
@@ -697,10 +622,6 @@ StatusResponse EpocDaemon::status() const {
     put("service.replay_hits", replay_hits_.load(std::memory_order_relaxed));
     put("service.invalid_backend",
         invalid_backend_.load(std::memory_order_relaxed));
-    put("service.degraded_retries",
-        degraded_retries_.load(std::memory_order_relaxed));
-    put("service.degraded_shipped",
-        degraded_shipped_.load(std::memory_order_relaxed));
     put("service.drain_deadline_exceeded",
         drain_deadline_exceeded_.load(std::memory_order_relaxed));
     std::uint64_t job_tokens = 0;

@@ -13,27 +13,30 @@
 //                      one writer thread per connection     (fair queue)
 //   executor threads (num_executors) <- AdmissionController::next()
 //       each runs EpocCompiler::compile(circuit, per-call options)
-//   watchdog thread: fires the CancelToken of any job overrunning its armed
-//       deadline by a grace factor (service.watchdog_fired)
 //
 // compile() is safe for concurrent callers (see epoc/pipeline.h), and the
 // compiler's ThreadPool round-robins block-level work across the concurrent
 // compiles, so a wide job and a burst of narrow jobs make progress together.
 //
 // Executors never block on a client: responses are queued on the
-// connection's bounded outbox and drained by its writer thread under a write
-// timeout — a slow or wedged client overflows its outbox (or times out a
-// write) and is disconnected with accounting, while the executor has long
-// moved on.
+// connection's bounded outbox (256 frames) and drained by its writer thread
+// under a 5 s write timeout — a slow or wedged client overflows its outbox
+// (or times out a write) and is disconnected with accounting
+// (service.slow_client_disconnects, service.write_timeouts), while the
+// executor has long moved on.
 //
 // Every job gets exactly one response, always — admission verdicts, parse
 // failures, compile degradations and internal errors all come back as a
 // JobResponse with the appropriate status; no path lets an exception escape
 // to kill an executor or silently drop a request. Client disconnect fires
-// the connection's job tokens (queued jobs then shed at dispatch; in-flight
+// the connection's job tokens (queued jobs are answered `cancelled` at
+// dispatch, or sooner when admission needs their capacity; in-flight
 // compiles wind down through the §4e ladder); stop() does the same globally.
+// A job's deadline, linked to its token, is its only stop: every poll point
+// sees it, and a job whose budget is spent before its compile starts is
+// answered shed_deadline instead of compiled.
 // Completed verdicts (ok / invalid_input) are additionally recorded in a
-// bounded replay table keyed by (tenant, id): a client that lost the
+// replay table of the last 1024, keyed by (tenant, id): a client that lost the
 // response to a transport fault re-submits the same id and is answered from
 // the record — the idempotence that makes client-side retry safe.
 #pragma once
@@ -74,26 +77,6 @@ struct DaemonOptions {
     /// backends.
     std::shared_ptr<backend::BackendRegistry> backends;
 
-    /// Watchdog scan period. The watchdog fires a job's cancel token once
-    /// the job has overrun its armed deadline by
-    /// max(watchdog_min_grace_ms, (watchdog_grace - 1) * budget) — i.e. a
-    /// grace factor of 2 allows a job its budget twice over before the
-    /// service takes the executor back. Deadline-free jobs are not watched.
-    double watchdog_poll_ms = 25.0;
-    double watchdog_grace = 2.0;
-    double watchdog_min_grace_ms = 100.0;
-
-    /// Slow-client protection: responses queued per connection beyond this
-    /// disconnect the client (service.slow_client_disconnects), and a single
-    /// response write slower than write_timeout_ms does the same — an
-    /// executor is never parked behind a wedged peer.
-    std::size_t max_outbox_frames = 256;
-    double write_timeout_ms = 5000.0;
-
-    /// Completed responses remembered for idempotent re-submission, keyed
-    /// by (tenant, id). 0 disables replay (a retried id recompiles).
-    std::size_t replay_entries = 1024;
-
     /// stop() drain budget: how long to wait for executors to answer the
     /// queue before bumping service.drain_deadline_exceeded (threads are
     /// still joined — cancellation makes that prompt; the counter records
@@ -109,7 +92,7 @@ public:
     EpocDaemon(const EpocDaemon&) = delete;
     EpocDaemon& operator=(const EpocDaemon&) = delete;
 
-    /// Bind the socket and spawn the accept + executor + watchdog threads.
+    /// Bind the socket and spawn the accept and executor threads.
     /// Throws std::runtime_error when the socket cannot be created or bound,
     /// or when a live daemon already serves socket_path.
     void start();
@@ -145,12 +128,10 @@ private:
     /// Bounded (tenant, id) -> completed JobResponse table, FIFO-evicted.
     class ReplayTable {
     public:
-        explicit ReplayTable(std::size_t cap) : cap_(cap) {}
         bool lookup(const std::string& key, JobResponse& out) const;
         void insert(const std::string& key, const JobResponse& resp);
 
     private:
-        std::size_t cap_;
         mutable std::mutex mutex_;
         std::unordered_map<std::string, JobResponse> map_;
         std::deque<std::string> fifo_;
@@ -160,14 +141,11 @@ private:
     void serve_connection(std::shared_ptr<Connection> conn);
     void writer_loop(std::shared_ptr<Connection> conn);
     void executor_loop();
-    void watchdog_loop();
     JobResponse run_job(Job& job);
     void handle_job_request(const std::shared_ptr<Connection>& conn,
                             JobRequest&& req);
     void send_response(const std::shared_ptr<Connection>& conn,
                        const JobResponse& resp);
-    std::uint64_t watchdog_register(const Job& job);
-    void watchdog_unregister(std::uint64_t slot);
 
     DaemonOptions opt_;
     std::unique_ptr<core::EpocCompiler> compiler_;
@@ -177,7 +155,6 @@ private:
     // Written by start()/stop(), read each iteration by the accept thread.
     std::atomic<int> listen_fd_{-1};
     std::thread accept_thread_;
-    std::thread watchdog_thread_;
     std::vector<std::thread> executors_;
     mutable std::mutex conns_mutex_;
     /// Live connections, plus any closed since the last accept, which reaps
@@ -195,23 +172,11 @@ private:
     std::condition_variable drain_cv_;
     int live_executors_ = 0;
 
-    // Watchdog registry: in-flight jobs with armed deadlines.
-    struct WatchedJob {
-        std::shared_ptr<util::CancelToken> cancel;
-        std::chrono::steady_clock::time_point fire_at;
-        bool fired = false;
-    };
-    std::mutex watchdog_mutex_;
-    std::condition_variable watchdog_cv_;
-    std::unordered_map<std::uint64_t, WatchedJob> watched_;
-    std::uint64_t watchdog_slot_ = 0;
-
     // service.* counters not covered by the admission snapshot.
     std::atomic<std::uint64_t> connections_accepted_{0};
     std::atomic<std::uint64_t> bad_frames_{0};
     std::atomic<std::uint64_t> status_requests_{0};
     std::atomic<std::uint64_t> accept_faults_{0};
-    std::atomic<std::uint64_t> watchdog_fired_{0};
     std::atomic<std::uint64_t> slow_client_disconnects_{0};
     std::atomic<std::uint64_t> write_timeouts_{0};
     std::atomic<std::uint64_t> send_failures_{0};
@@ -220,11 +185,6 @@ private:
     /// invalid_input at admission).
     std::atomic<std::uint64_t> invalid_backend_{0};
     std::atomic<std::uint64_t> drain_deadline_exceeded_{0};
-    /// Healthy jobs whose first compile came back degraded (inherited another
-    /// job's cancellation via the shared compiler) and were re-compiled once.
-    std::atomic<std::uint64_t> degraded_retries_{0};
-    /// Retries that were still degraded — the result shipped as-is.
-    std::atomic<std::uint64_t> degraded_shipped_{0};
 };
 
 } // namespace epoc::service

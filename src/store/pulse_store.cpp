@@ -7,7 +7,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <stdexcept>
@@ -141,28 +140,6 @@ PulseStore::PulseStore(PulseStoreOptions opt) : opt_(std::move(opt)), dir_(opt_.
     sweep_stale_temps();
     stats_.bytes = scan_bytes();
     open_packs();
-}
-
-std::string PulseStore::dir_from_env() {
-    const char* dir = std::getenv("EPOC_PULSE_STORE");
-    return dir == nullptr ? std::string() : std::string(dir);
-}
-
-std::vector<std::string> PulseStore::pack_dirs_from_env() {
-    std::vector<std::string> dirs;
-    const char* env = std::getenv("EPOC_PULSE_PACKS");
-    if (env == nullptr) return dirs;
-    const std::string spec(env);
-    std::size_t begin = 0;
-    while (begin <= spec.size()) {
-        const std::size_t end = spec.find(':', begin);
-        const std::string dir =
-            spec.substr(begin, end == std::string::npos ? end : end - begin);
-        if (!dir.empty()) dirs.push_back(dir);
-        if (end == std::string::npos) break;
-        begin = end + 1;
-    }
-    return dirs;
 }
 
 std::filesystem::path PulseStore::entry_path(const std::string& key) const {

@@ -240,14 +240,6 @@ public:
     /// memory-only mode (loads serve, writes skip).
     bool memory_only() const;
 
-    /// Store directory from the EPOC_PULSE_STORE environment variable, empty
-    /// when unset. The conventional way to arm any binary with persistence.
-    static std::string dir_from_env();
-
-    /// Colon-separated shared pack directories from the EPOC_PULSE_PACKS
-    /// environment variable, empty when unset.
-    static std::vector<std::string> pack_dirs_from_env();
-
 private:
     std::optional<qoc::LatencyResult> load_impl(const std::string& key,
                                                 bool* from_pack);

@@ -16,8 +16,8 @@ std::uint64_t steady_now_ns() {
             .count());
 }
 
-// Minimal JSON string escaping; span/counter names are internal but labels can
-// carry arbitrary bytes (same rules as epoc::core's schedule export).
+} // namespace
+
 void json_escape_into(std::ostringstream& os, const std::string& s) {
     static const char* hex = "0123456789abcdef";
     for (const char ch : s) {
@@ -27,7 +27,10 @@ void json_escape_into(std::ostringstream& os, const std::string& s) {
         case '\n': os << "\\n"; break;
         case '\t': os << "\\t"; break;
         case '\r': os << "\\r"; break;
+        case '\b': os << "\\b"; break;
+        case '\f': os << "\\f"; break;
         default:
+            // Remaining control characters are invalid raw JSON; \u-escape.
             if (static_cast<unsigned char>(ch) < 0x20)
                 os << "\\u00" << hex[(ch >> 4) & 0xf] << hex[ch & 0xf];
             else
@@ -35,8 +38,6 @@ void json_escape_into(std::ostringstream& os, const std::string& s) {
         }
     }
 }
-
-} // namespace
 
 // ----------------------------------------------------------------- TraceReport
 

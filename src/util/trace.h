@@ -31,6 +31,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <iosfwd>
 #include <map>
 #include <mutex>
 #include <string>
@@ -38,6 +39,10 @@
 #include <vector>
 
 namespace epoc::util {
+
+/// Append `s` as the body of a JSON string: quotes, backslashes and control
+/// characters escaped. Span names and schedule labels can carry any bytes.
+void json_escape_into(std::ostringstream& os, const std::string& s);
 
 /// One completed span. Times are nanoseconds since the tracer's epoch (its
 /// construction or last reset). `tid` is a small dense id: 0 for the first

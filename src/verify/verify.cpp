@@ -9,7 +9,6 @@
 #include "zx/tensor.h"
 
 #include <cmath>
-#include <cstdlib>
 #include <stdexcept>
 
 namespace epoc::verify {
@@ -68,7 +67,6 @@ util::Tracer::Span span(const VerifyTally& t, std::string name) {
 
 const char* level_name(VerifyLevel level) {
     switch (level) {
-    case VerifyLevel::unset: return "unset";
     case VerifyLevel::off: return "off";
     case VerifyLevel::sampled: return "sampled";
     case VerifyLevel::full: return "full";
@@ -82,20 +80,6 @@ VerifyLevel level_from_name(const std::string& name) {
     if (name == "full") return VerifyLevel::full;
     throw std::invalid_argument("unknown verify level '" + name +
                                 "' (expected off|sampled|full)");
-}
-
-VerifyLevel level_from_env() {
-    const char* env = std::getenv("EPOC_VERIFY");
-    if (env == nullptr || *env == '\0') return VerifyLevel::off;
-    try {
-        return level_from_name(env);
-    } catch (const std::invalid_argument&) {
-        return VerifyLevel::off;
-    }
-}
-
-VerifyLevel resolve_level(VerifyLevel explicit_level) {
-    return explicit_level == VerifyLevel::unset ? level_from_env() : explicit_level;
 }
 
 const char* outcome_name(Outcome o) {
@@ -125,7 +109,6 @@ VerifySummary VerifyTally::summary(VerifyLevel level) const {
 }
 
 Verifier::Verifier(VerifyOptions opt) : opt_(opt) {
-    opt_.level = resolve_level(opt_.level);
     if (opt_.sample_period < 1) opt_.sample_period = 1;
 }
 

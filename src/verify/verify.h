@@ -37,7 +37,7 @@
 // `verify.simulate`, `verify.revalidate`): a broken verifier degrades to
 // Outcome::unverified and never fails a clean compile.
 //
-// Levels (EpocOptions::verify_level / the EPOC_VERIFY env variable):
+// Levels (EpocOptions::verify_level):
 //   off      — no checks; the compile is bit-identical to a build without
 //              the verifier (every call site gates on enabled()).
 //   sampled  — stage-level oracles always; per-block synthesis/pulse audits
@@ -58,19 +58,12 @@
 
 namespace epoc::verify {
 
-/// Audit level. `unset` (the EpocOptions default) resolves through the
-/// EPOC_VERIFY environment variable and falls back to `off`.
-enum class VerifyLevel : std::uint8_t { unset, off, sampled, full };
+/// Audit level; EpocOptions::verify_level defaults to `off`.
+enum class VerifyLevel : std::uint8_t { off, sampled, full };
 
 const char* level_name(VerifyLevel level);
 /// Parse "off" | "sampled" | "full"; throws std::invalid_argument otherwise.
 VerifyLevel level_from_name(const std::string& name);
-/// EPOC_VERIFY environment variable; `off` when unset, empty, or malformed
-/// (a typo in an env var must not change compile behaviour unpredictably —
-/// it disables verification, the conservative default).
-VerifyLevel level_from_env();
-/// `explicit_level` unless it is `unset`, in which case the environment.
-VerifyLevel resolve_level(VerifyLevel explicit_level);
 
 /// Per-check (and per-BlockReport) verification outcome.
 enum class Outcome : std::uint8_t {
@@ -85,7 +78,6 @@ enum class Outcome : std::uint8_t {
 const char* outcome_name(Outcome o);
 
 struct VerifyOptions {
-    /// Resolved level (never `unset` inside a Verifier).
     VerifyLevel level = VerifyLevel::off;
     /// Stage-equivalence oracles build full 2^n unitaries; above this width
     /// they are skipped (Outcome::not_checked) instead of stalling the

@@ -362,19 +362,6 @@ TEST(PackUnit, EmbeddedKeyDisagreeingWithIndexIsCorruption) {
     EXPECT_TRUE(pack->suspect());
 }
 
-TEST(PackUnit, PackDirsFromEnvSplitsColonsAndSkipsEmpties) {
-#ifdef __unix__
-    ::setenv("EPOC_PULSE_PACKS", "/a/b::/c:d", 1);
-    const std::vector<std::string> dirs = PulseStore::pack_dirs_from_env();
-    ::unsetenv("EPOC_PULSE_PACKS");
-    ASSERT_EQ(dirs.size(), 3u);
-    EXPECT_EQ(dirs[0], "/a/b");
-    EXPECT_EQ(dirs[1], "/c");
-    EXPECT_EQ(dirs[2], "d");
-    EXPECT_TRUE(PulseStore::pack_dirs_from_env().empty());
-#endif
-}
-
 TEST(PackFuzz, SeededMutantsOpenOrReject) {
     // 2,000 seeded mutants of a valid three-entry pack (tests/fuzz_mutate.h):
     // open() rejects or opens each; on an opened one every find() and the
@@ -820,19 +807,6 @@ TEST(PackCompile, ColdStartWithOnlyAPackIsGrapeFreeAndBitIdentical) {
     EXPECT_EQ(core::schedule_to_json(rc.schedule), warm_json);
     EXPECT_TRUE(same_bits(rc.latency_ns, rw.latency_ns));
     EXPECT_TRUE(same_bits(rc.esp, rw.esp));
-
-    // The same cold start armed through the environment instead of options.
-#ifdef __unix__
-    const fs::path env_dir = dir.path / "env";
-    ::setenv("EPOC_PULSE_PACKS", pdir.string().c_str(), 1);
-    core::EpocCompiler via_env(cheap_compile_options(1, env_dir.string()));
-    ::unsetenv("EPOC_PULSE_PACKS");
-    const core::EpocResult re = via_env.compile(c);
-    ASSERT_FALSE(re.degraded);
-    EXPECT_EQ(re.trace.counter("qoc.grape_runs"), 0u);
-    EXPECT_GT(re.store_stats.pack_hits, 0u);
-    EXPECT_EQ(core::schedule_to_json(re.schedule), warm_json);
-#endif
 }
 
 TEST(PackCompile, DoctoredPackQuarantinesRecomputesAndStaysBitIdentical) {

@@ -300,6 +300,33 @@ TEST(Admission, ShedsInfeasibleDeadlinesAtTheDoor) {
     EXPECT_EQ(ac.snapshot().tenants.at("t").shed_deadline, 2u);
 }
 
+TEST(Admission, DeadQueuedJobsFreeCapacity) {
+    // A reconnecting client re-submits its unanswered ids while the old
+    // copies, their tokens fired by the disconnect, still sit in the queue.
+    // Those copies must not hold the capacity: a full queue drops them,
+    // answering and counting each as dispatch would.
+    AdmissionOptions opt;
+    opt.max_pending = 2;
+    AdmissionController ac(opt);
+    std::vector<JobStatus> answers;
+    std::vector<std::shared_ptr<util::CancelToken>> tokens;
+    for (int i = 0; i < 2; ++i) {
+        Job j = make_job("t", 0);
+        j.respond = [&answers](const JobResponse& r) { answers.push_back(r.status); };
+        tokens.push_back(j.cancel);
+        ASSERT_EQ(ac.submit(std::move(j)), Verdict::admitted);
+    }
+    for (const auto& token : tokens) token->cancel();
+    EXPECT_EQ(ac.submit(make_job("t", 0)), Verdict::admitted);
+    EXPECT_EQ(answers, std::vector<JobStatus>(2, JobStatus::cancelled));
+    const AdmissionSnapshot s = ac.snapshot();
+    EXPECT_EQ(s.queued, 1u);
+    EXPECT_EQ(s.tenants.at("t").cancelled, 2u);
+    Job j;
+    ASSERT_TRUE(ac.next(j));
+    EXPECT_FALSE(j.cancel->cancelled());
+}
+
 TEST(Admission, CloseDrainsQueuedJobsThenStops) {
     AdmissionController ac;
     ASSERT_EQ(ac.submit(make_job("t", 0)), Verdict::admitted);
@@ -714,33 +741,31 @@ TEST(Daemon, RetryingClientRecoversFromTornServerWriteWithIdenticalDigest) {
 
 // --------------------------------------------------------- server hardening
 
-TEST(Daemon, WatchdogFiresOnWedgedExecutor) {
-    // A job wedged past deadline * grace (the service.executor_stall site is
-    // a loop only the job's own token can break) must be cancelled by the
-    // watchdog and its executor returned to the pool — proven by the next
-    // job completing normally.
+TEST(Daemon, SpentBudgetIsShedNotCompiled) {
+    // The service.executor_stall site is slow pre-compile work that honours
+    // the job's deadline: a 50 ms budget runs out before the compile starts,
+    // and the job is answered shed_deadline instead of being compiled with a
+    // budget of 0, which compile() would read as unlimited.
     DaemonOptions opt;
     opt.socket_path = test_socket_path();
     opt.num_executors = 1;
     opt.compiler = cheap_options();
-    opt.watchdog_poll_ms = 5.0;
-    opt.watchdog_grace = 1.0;
-    opt.watchdog_min_grace_ms = 50.0;
     EpocDaemon daemon(opt);
     daemon.start();
 
     const std::string qasm = circuit::to_qasm(bench::ghz(3));
     EpocClient client(opt.socket_path);
-    {
-        const FaultGuard guard("service.executor_stall=1");
-        const JobResponse resp = client.compile(qasm, "t", 0, 100.0);
-        EXPECT_EQ(resp.status, JobStatus::cancelled);
-    }
-    EpocClient probe(opt.socket_path);
-    EXPECT_EQ(counter_value(probe.status(), "service.watchdog_fired"), 1u);
-    // The executor survived the wedge: the next job compiles fine.
-    const JobResponse after = client.compile(qasm, "t");
-    EXPECT_EQ(after.status, JobStatus::ok);
+    const FaultGuard guard("service.executor_stall=1");
+    const auto t0 = std::chrono::steady_clock::now();
+    const JobResponse resp = client.compile(qasm, "t", 0, 50.0);
+    const double waited_ms = std::chrono::duration<double, std::milli>(
+                                 std::chrono::steady_clock::now() - t0)
+                                 .count();
+    EXPECT_EQ(resp.status, JobStatus::shed_deadline);
+    EXPECT_EQ(resp.detail, "budget exhausted before compile");
+    EXPECT_LT(waited_ms, 1000.0);
+    // The deadline alone gave the executor back: the next job compiles.
+    EXPECT_EQ(client.compile(qasm, "t").status, JobStatus::ok);
     daemon.stop();
 }
 

@@ -778,17 +778,24 @@ TEST(StoreCompile, WarmRunIsBitIdenticalAndGrapeFree) {
     }
 }
 
-TEST(StoreCompile, EnvVariableArmsTheStore) {
+TEST(StoreCompile, EnvironmentConfiguresNothing) {
+    // EpocOptions is the compiler's only configuration: exported store, pack
+    // and verify variables arm nothing and create nothing.
     TempDir dir;
-    ::setenv("EPOC_PULSE_STORE", dir.str().c_str(), 1);
-    core::EpocOptions opt = cheap_compile_options(1, "");
-    core::EpocCompiler compiler(opt);
-    ::unsetenv("EPOC_PULSE_STORE");
-    ASSERT_NE(compiler.store(), nullptr);
-    const core::EpocResult r = compiler.compile(bench::ghz(3));
-    EXPECT_TRUE(r.store_enabled);
-    EXPECT_GT(r.store_stats.writes, 0u);
-    EXPECT_GT(count_entries(dir.path), 0u);
+    const fs::path store_dir = dir.path / "store";
+    const fs::path pack_dir = dir.path / "packs";
+    fs::create_directories(pack_dir);
+    const std::vector<std::pair<const char*, std::string>> vars = {
+        {"EPOC_PULSE_STORE", store_dir.string()},
+        {"EPOC_PULSE_PACKS", pack_dir.string()},
+        {"EPOC_VERIFY", "full"}};
+    for (const auto& [name, value] : vars) ::setenv(name, value.c_str(), 1);
+    core::EpocCompiler compiler(core::EpocOptions{});
+    for (const auto& [name, value] : vars) ::unsetenv(name);
+    EXPECT_EQ(compiler.store(), nullptr);
+    EXPECT_EQ(compiler.verifier().options().level, verify::VerifyLevel::off);
+    EXPECT_FALSE(fs::exists(store_dir));
+    EXPECT_TRUE(fs::is_empty(pack_dir));
 }
 
 TEST(StoreCompile, StoreIoFaultsNeverDegradeTheCompile) {

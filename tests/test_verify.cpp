@@ -84,20 +84,6 @@ struct FaultGuard {
     ~FaultGuard() { util::fault::clear(); }
 };
 
-struct EnvGuard {
-    EnvGuard(const char* name, const char* value) : name_(name) {
-#ifdef __unix__
-        ::setenv(name, value, 1);
-#endif
-    }
-    ~EnvGuard() {
-#ifdef __unix__
-        ::unsetenv(name_);
-#endif
-    }
-    const char* name_;
-};
-
 EpocOptions cheap_options(int num_threads, VerifyLevel level) {
     EpocOptions opt;
     opt.latency.fidelity_threshold = 0.99;
@@ -130,21 +116,6 @@ TEST(VerifyLevelTest, NamesRoundTrip) {
     EXPECT_STREQ(level_name(VerifyLevel::sampled), "sampled");
     EXPECT_STREQ(outcome_name(Outcome::unverified), "unverified");
     EXPECT_STREQ(util::cause_name(util::Cause::verify_failed), "verify_failed");
-}
-
-TEST(VerifyLevelTest, EnvResolvesOnlyWhenUnset) {
-    const EnvGuard env("EPOC_VERIFY", "full");
-    EXPECT_EQ(level_from_env(), VerifyLevel::full);
-    EXPECT_EQ(resolve_level(VerifyLevel::unset), VerifyLevel::full);
-    // An explicit option always wins over the environment.
-    EXPECT_EQ(resolve_level(VerifyLevel::off), VerifyLevel::off);
-    EXPECT_EQ(resolve_level(VerifyLevel::sampled), VerifyLevel::sampled);
-}
-
-TEST(VerifyLevelTest, MalformedEnvIsOffNotAnError) {
-    const EnvGuard env("EPOC_VERIFY", "frobnicate");
-    EXPECT_EQ(level_from_env(), VerifyLevel::off);
-    EXPECT_EQ(resolve_level(VerifyLevel::unset), VerifyLevel::off);
 }
 
 TEST(VerifyLevelTest, DisabledVerifierChecksNothing) {
